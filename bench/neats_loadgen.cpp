@@ -54,7 +54,7 @@ struct PhaseResult {
   uint64_t probes = 0;  // values touched (batch/range phases amortize)
   uint64_t errors = 0;
   double seconds = 0;
-  LatencyHistogram latency;  // per request, ns
+  LatencyHistogram latency;  // per body call (a pipelined group), ns
 
   double rps() const { return seconds > 0 ? requests / seconds : 0; }
   double probes_per_sec() const { return seconds > 0 ? probes / seconds : 0; }
@@ -77,10 +77,12 @@ struct Config {
 };
 
 /// One phase: `threads` connections each running `body(client, rng)` in a
-/// closed loop until the deadline; returns merged stats.
+/// closed loop until the deadline; returns merged stats. Each body call
+/// sends `requests_per_call` requests of `probes_per_request` probes each.
 template <typename Body>
 PhaseResult RunPhase(const Config& cfg, const std::string& name,
-                     uint64_t probes_per_request, Body body) {
+                     uint64_t probes_per_request, Body body,
+                     uint64_t requests_per_call = 1) {
   PhaseResult result;
   result.name = name;
   std::vector<std::thread> threads;
@@ -98,8 +100,8 @@ PhaseResult RunPhase(const Config& cfg, const std::string& name,
           const uint64_t t0 = NowNs();
           const bool ok = body(client, rng);
           mine.latency.Record(NowNs() - t0);
-          ++mine.requests;
-          mine.probes += probes_per_request;
+          mine.requests += requests_per_call;
+          mine.probes += requests_per_call * probes_per_request;
           if (!ok) ++mine.errors;
         }
       } catch (const std::exception& e) {
@@ -121,11 +123,13 @@ PhaseResult RunPhase(const Config& cfg, const std::string& name,
 
 /// The access phase honors --pipeline: K raw kAccess requests in flight
 /// per connection. K > 1 is what fills the server's coalescing window —
-/// a strictly serial client can never present a batchable run.
+/// a strictly serial client can never present a batchable run. Each group
+/// of K counts as K requests and K probes; its latency is recorded once.
 PhaseResult RunAccessPhase(const Config& cfg, uint64_t store_size) {
   const int k = cfg.pipeline < 1 ? 1 : cfg.pipeline;
   return RunPhase(
-      cfg, "access", 1, [&, k](Client& client, std::mt19937_64& rng) {
+      cfg, "access", 1,
+      [&, k](Client& client, std::mt19937_64& rng) {
         bool ok = true;
         std::vector<uint8_t> payload;
         for (int j = 0; j < k; ++j) {
@@ -139,7 +143,8 @@ PhaseResult RunAccessPhase(const Config& cfg, uint64_t store_size) {
           ok = ok && r.status == neats::net::WireStatus::kOk;
         }
         return ok;
-      });
+      },
+      static_cast<uint64_t>(k));
 }
 
 // --- stats-document helpers (reusing the protocol's JSON parser) ----------

@@ -8,8 +8,8 @@
 //
 // The text format is one decimal value per line; values are scaled to
 // integers by the detected fractional precision (stored in the container).
-// Flat-format (v2/v3) files are opened zero-copy: the file is mmap'd and queries run
-// straight against the mapping. Legacy v1 files fall back to Deserialize.
+// Files are opened zero-copy: the file is mmap'd and queries run straight
+// against the mapping.
 //
 // Built on the public facade (neats/neats.hpp): every open/load path is
 // Status-returning, so a bad path or corrupt blob prints a diagnostic and
@@ -42,14 +42,12 @@ std::vector<uint8_t> Pack(const Neats& compressed, int digits) {
   return out;
 }
 
-// An opened container file. When the blob is flat format v2/v3 the Neats object
-// borrows the mapping (`map` must stay alive); v1 blobs are deserialized
-// into owned storage.
+// An opened container file. The Neats object borrows the mapping (`map` must
+// stay alive).
 struct OpenedBlob {
   neats::MmapFile map;
   Neats neats;
   int digits = 0;
-  bool zero_copy = false;
 };
 
 /// Status-returning open (neats::Checked turns any loader rejection into a
@@ -63,13 +61,7 @@ neats::Result<OpenedBlob> OpenBlob(const char* path) {
     uint64_t d = 0;
     std::memcpy(&d, bytes.data(), 8);
     b.digits = static_cast<int>(d);
-    std::span<const uint8_t> blob = bytes.subspan(8);
-    if (Neats::IsZeroCopyOpenable(blob)) {
-      b.neats = Neats::View(blob);
-      b.zero_copy = true;
-    } else {
-      b.neats = Neats::Deserialize(blob);
-    }
+    b.neats = Neats::View(bytes.subspan(8));
     return b;
   });
 }
@@ -180,9 +172,6 @@ int main(int argc, char** argv) {
     std::printf("values:      %" PRIu64 "\n", compressed.size());
     std::printf("fragments:   %zu\n", compressed.num_fragments());
     std::printf("digits:      %d\n", blob.digits);
-    std::printf("open mode:   %s\n",
-                blob.zero_copy ? "zero-copy (mmap, format v2/v3)"
-                               : "deserialized (legacy v1)");
     std::printf("size:        %zu bits (%.2f%% of raw)\n",
                 compressed.SizeInBits(),
                 100.0 * static_cast<double>(compressed.SizeInBits()) /

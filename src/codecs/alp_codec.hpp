@@ -14,12 +14,12 @@
 // probed vector is decoded once and all its probes answered from the
 // buffer. DecompressRange decodes each covered vector once.
 //
-// Format v2 appends a per-vector word-offset index after the ALP payload
-// (additive; FORMAT.md "ALP blob"): offsets are re-derived while parsing
-// and the stored section is validated against them, giving the load a
-// structural tripwire and readers a way to locate vector headers without a
-// parse. v1 blobs load fine and re-serialize as v2. Zero-copy: the packed
-// bit arrays of every vector borrow the blob in a View open.
+// Format v2 ends in a per-vector word-offset index after the ALP payload
+// (FORMAT.md "ALP blob"): offsets are re-derived while parsing and the
+// stored section is validated against them, giving the load a structural
+// tripwire and readers a way to locate vector headers without a parse.
+// Zero-copy: the packed bit arrays of every vector borrow the blob in a
+// View open.
 
 #pragma once
 
@@ -35,8 +35,6 @@
 #include "succinct/storage.hpp"
 
 namespace neats {
-
-struct AlpCodecTestPeer;
 
 /// Exact int64 SeriesCodec over ALP pseudo-decimal vectors.
 class AlpCodec : public ScalarCodecBase<AlpCodec> {
@@ -177,14 +175,10 @@ class AlpCodec : public ScalarCodecBase<AlpCodec> {
   }
 
  private:
-  friend struct AlpCodecTestPeer;
-
   static AlpCodec Load(std::span<const uint8_t> bytes, bool borrow) {
     WordReader r(bytes, borrow);
     NEATS_REQUIRE(r.Get() == kMagic, "not an ALP blob");
-    const uint64_t version = r.Get();
-    NEATS_REQUIRE(version == 1 || version == kFormatVersion,
-                  "unsupported ALP format version");
+    NEATS_REQUIRE(r.Get() == kFormatVersion, "unsupported ALP format version");
     AlpCodec out;
     size_t num_exc = r.Get();
     NEATS_REQUIRE(num_exc <= (bytes.size() - r.position()) / 16,
@@ -197,14 +191,12 @@ class AlpCodec : public ScalarCodecBase<AlpCodec> {
     }
     std::vector<uint64_t> offsets;
     out.alp_ = Alp::LoadFrom(r, &offsets);
-    if (version == kFormatVersion) {
-      // The stored offset index must agree with where the parse actually
-      // found every vector header — a cheap structural tripwire, and what
-      // keeps re-serialization canonical.
-      NEATS_REQUIRE(r.Get() == offsets.size(), "corrupt ALP blob");
-      for (uint64_t o : offsets) {
-        NEATS_REQUIRE(r.Get() == o, "corrupt ALP blob");
-      }
+    // The stored offset index must agree with where the parse actually
+    // found every vector header — a cheap structural tripwire, and what
+    // keeps re-serialization canonical.
+    NEATS_REQUIRE(r.Get() == offsets.size(), "corrupt ALP blob");
+    for (uint64_t o : offsets) {
+      NEATS_REQUIRE(r.Get() == o, "corrupt ALP blob");
     }
     NEATS_REQUIRE(r.position() == bytes.size(), "corrupt ALP blob");
     out.n_ = out.alp_.size();
@@ -259,23 +251,5 @@ class AlpCodec : public ScalarCodecBase<AlpCodec> {
 };
 
 static_assert(SeriesCodec<AlpCodec>);
-
-/// Test-only back door: writes the legacy v1 framing (no vector-offset
-/// index) so migration tests can exercise the v1 -> v2 load path without
-/// keeping binary fixtures around.
-struct AlpCodecTestPeer {
-  static void SerializeV1(const AlpCodec& c, std::vector<uint8_t>* out) {
-    out->clear();
-    WordWriter w(out);
-    w.Put(AlpCodec::kMagic);
-    w.Put(uint64_t{1});
-    w.Put(c.exc_pos_.size());
-    for (size_t e = 0; e < c.exc_pos_.size(); ++e) {
-      w.Put(c.exc_pos_[e]);
-      w.Put(static_cast<uint64_t>(c.exc_val_[e]));
-    }
-    c.alp_.SerializeInto(w);
-  }
-};
 
 }  // namespace neats

@@ -20,9 +20,8 @@
 //   DecompressRange  decodes each covered block once, from the checkpoint
 //                    nearest its first needed value, straight into out.
 //
-// The skip index serializes additively as format v2 (FORMAT.md): a v1 blob
-// still loads and rebuilds the index with one decode pass, and re-serializes
-// to the same bytes a fresh v2 compression produces. Not zero-copy: blocks
+// The skip index serializes as format v2's trailing section (FORMAT.md) and
+// is validated against the blocks on load. Not zero-copy: blocks
 // deserialize into owned vectors.
 //
 // These codecs earn their registry slot on step-and-repeat data: a repeated
@@ -46,8 +45,6 @@
 #include "succinct/storage.hpp"
 
 namespace neats {
-
-struct XorCodecTestPeer;
 
 /// Exact int64 SeriesCodec over a block-wise XOR stream codec (Gorilla,
 /// Chimp — anything with Compress(span<double>)/DecompressSlice/
@@ -197,42 +194,35 @@ class XorSeriesCodec : public ScalarCodecBase<XorSeriesCodec<Xor, kMagic>> {
   static XorSeriesCodec Deserialize(std::span<const uint8_t> bytes) {
     WordReader r(bytes, /*borrow=*/false);
     NEATS_REQUIRE(r.Get() == kMagic, "not a XOR-stream blob");
-    const uint64_t version = r.Get();
-    NEATS_REQUIRE(version == 1 || version == kFormatVersion,
+    NEATS_REQUIRE(r.Get() == kFormatVersion,
                   "unsupported XOR-stream format version");
     XorSeriesCodec out;
     out.blocks_ = Blockwise<Xor>::LoadFrom(r);
     out.n_ = out.blocks_.size();
-    if (version == 1) {
-      // Pre-skip-index blob: rebuild the index with one decode pass per
-      // block; re-serializing writes it back as v2.
-      out.BuildSkip();
-    } else {
-      NEATS_REQUIRE(r.Get() == kSkipInterval,
-                    "unsupported XOR-stream skip interval");
-      const uint64_t total = r.Get();
-      uint64_t expect = 0;
-      for (size_t b = 0; b < out.blocks_.num_blocks(); ++b) {
-        expect += (out.blocks_.block_count(b) - 1) / kSkipInterval;
-      }
-      NEATS_REQUIRE(total == expect, "corrupt XOR-stream skip index");
-      out.skip_.resize(out.blocks_.num_blocks());
-      for (size_t b = 0; b < out.blocks_.num_blocks(); ++b) {
-        const size_t count = (out.blocks_.block_count(b) - 1) / kSkipInterval;
-        out.skip_[b].reserve(count);
-        for (size_t j = 0; j < count; ++j) {
-          typename Xor::SkipState s;
-          s.bit_pos = r.Get();
-          s.prev = r.Get();
-          const uint64_t packed = r.Get();
-          s.lz = static_cast<int32_t>(static_cast<uint32_t>(packed >> 32));
-          s.tz = static_cast<int32_t>(static_cast<uint32_t>(packed));
-          // A forged checkpoint may decode garbage values, but it must
-          // never be able to drive the decoder out of bounds.
-          NEATS_REQUIRE(out.blocks_.block(b).CheckSkipState(s),
-                        "corrupt XOR-stream skip index");
-          out.skip_[b].push_back(s);
-        }
+    NEATS_REQUIRE(r.Get() == kSkipInterval,
+                  "unsupported XOR-stream skip interval");
+    const uint64_t total = r.Get();
+    uint64_t expect = 0;
+    for (size_t b = 0; b < out.blocks_.num_blocks(); ++b) {
+      expect += (out.blocks_.block_count(b) - 1) / kSkipInterval;
+    }
+    NEATS_REQUIRE(total == expect, "corrupt XOR-stream skip index");
+    out.skip_.resize(out.blocks_.num_blocks());
+    for (size_t b = 0; b < out.blocks_.num_blocks(); ++b) {
+      const size_t count = (out.blocks_.block_count(b) - 1) / kSkipInterval;
+      out.skip_[b].reserve(count);
+      for (size_t j = 0; j < count; ++j) {
+        typename Xor::SkipState s;
+        s.bit_pos = r.Get();
+        s.prev = r.Get();
+        const uint64_t packed = r.Get();
+        s.lz = static_cast<int32_t>(static_cast<uint32_t>(packed >> 32));
+        s.tz = static_cast<int32_t>(static_cast<uint32_t>(packed));
+        // A forged checkpoint may decode garbage values, but it must
+        // never be able to drive the decoder out of bounds.
+        NEATS_REQUIRE(out.blocks_.block(b).CheckSkipState(s),
+                      "corrupt XOR-stream skip index");
+        out.skip_[b].push_back(s);
       }
     }
     NEATS_REQUIRE(r.position() == bytes.size(), "corrupt XOR-stream blob");
@@ -245,8 +235,6 @@ class XorSeriesCodec : public ScalarCodecBase<XorSeriesCodec<Xor, kMagic>> {
   }
 
  private:
-  friend struct XorCodecTestPeer;
-
   static constexpr uint64_t kFormatVersion = 2;
 
   /// Decodes `count` values starting at block-local index `from_local` of
@@ -281,20 +269,5 @@ using ChimpCodec = XorSeriesCodec<Chimp, MagicWord("NEATSCH\0")>;
 
 static_assert(SeriesCodec<GorillaCodec>);
 static_assert(SeriesCodec<ChimpCodec>);
-
-/// Test-only back door: writes the legacy v1 framing (no skip-index
-/// section) so migration tests can exercise the v1 -> v2 load path without
-/// keeping binary fixtures around.
-struct XorCodecTestPeer {
-  template <typename Xor, uint64_t kMagic>
-  static void SerializeV1(const XorSeriesCodec<Xor, kMagic>& c,
-                          std::vector<uint8_t>* out) {
-    out->clear();
-    WordWriter w(out);
-    w.Put(kMagic);
-    w.Put(uint64_t{1});
-    c.blocks_.SerializeInto(w);
-  }
-};
 
 }  // namespace neats

@@ -29,7 +29,6 @@
 
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -230,16 +229,8 @@ class Neats {
   /// serialized size (8 * Serialize output bytes), kept in lockstep with the
   /// writer so benches and the CLI report what lands on disk.
   size_t SizeInBits() const {
-    size_t bits = HeaderSizeInBits() + 64 + corrections_.size() * 64 + 64;
-    for (const auto& p : params_) bits += 64 + p.size() * 64;
-    if (m_ > 0) {
-      size_t s_bits = starts_mode_ == StartsIndex::kEliasFano
-                          ? starts_ef_.SizeInBits()
-                          : starts_bv_.SizeInBits();
-      bits += s_bits + widths_.SizeInBits() + displacement_.SizeInBits() +
-              offsets_.SizeInBits() + kinds_wt_.SizeInBits();
-    }
-    return bits + directory_.SizeInBitsAt(bits);
+    const size_t before = SectionsSizeInBits();
+    return before + directory_.SizeInBitsAt(before);
   }
 
   /// Result of an approximate aggregate: the estimate plus a hard bound on
@@ -289,17 +280,16 @@ class Neats {
   /// fixed-size chunks — no O(len) allocation.
   int64_t RangeSum(uint64_t from, uint64_t len) const;
 
-  /// Serializes the compressed representation to bytes in format v3: the
-  /// flat, 8-byte-aligned little-endian v2 layout (docs/FORMAT.md) plus the
-  /// interleaved fragment directory as an additive trailing section (same
-  /// "NEATSv2" magic family, version word 3). Every succinct structure is
-  /// stored together with its rank/select directories, so View can open the
-  /// blob zero-copy — no deserialization copy; the stored directories are
+  /// Serializes the compressed representation to bytes in format v3: a
+  /// flat, 8-byte-aligned little-endian layout (docs/FORMAT.md) ending in
+  /// the interleaved fragment directory. Every succinct structure is stored
+  /// together with its rank/select directories, so View can open the blob
+  /// zero-copy — no deserialization copy; the stored directories are
   /// verified against the payload on load.
   void Serialize(std::vector<uint8_t>* out) const {
     out->clear();
     WordWriter w(out);
-    w.Put(kMagicV2);
+    w.Put(kMagic);
     w.Put(kFormatVersion);
     w.Put(n_);
     w.Put(static_cast<uint64_t>(m_));
@@ -325,29 +315,17 @@ class Neats {
   }
 
   /// Rebuilds a Neats object from Serialize output, copying the payload into
-  /// owned storage. Understands format v3, format v2 (no directory section —
-  /// the directory is rebuilt on load) and the legacy v1 layout (which
-  /// stored the logical fragment table and rebuilt every index).
+  /// owned storage. Reads format v3 only; any other magic or version word
+  /// throws neats::Error.
   static Neats Deserialize(std::span<const uint8_t> bytes) {
-    NEATS_REQUIRE(bytes.size() >= 8, "not a NeaTS blob");
-    uint64_t magic;
-    std::memcpy(&magic, bytes.data(), 8);
-    if (magic == kMagicV1) return DeserializeV1(bytes);
-    NEATS_REQUIRE(magic == kMagicV2, "not a NeaTS blob");
     return LoadFlat(bytes, /*borrow=*/false);
   }
 
-  /// Opens a flat (v2/v3) blob zero-copy: every payload array is a span into
-  /// `bytes`, which must be 8-byte aligned (mmap and heap buffers both are)
-  /// and must outlive the returned object and everything decoded from it.
-  /// A v3 blob maps the fragment directory in place too; a v2 blob has none
-  /// stored, so only its directory is rebuilt into owned memory.
+  /// Opens a Serialize blob zero-copy: every payload array, the fragment
+  /// directory included, is a span into `bytes`, which must be 8-byte
+  /// aligned (mmap and heap buffers both are) and must outlive the returned
+  /// object and everything decoded from it.
   static Neats View(std::span<const uint8_t> bytes) {
-    NEATS_REQUIRE(bytes.size() >= 8, "not a NeaTS blob");
-    uint64_t magic;
-    std::memcpy(&magic, bytes.data(), 8);
-    NEATS_REQUIRE(magic == kMagicV2,
-                  "zero-copy open requires a format-v2/v3 NeaTS blob");
     return LoadFlat(bytes, /*borrow=*/true);
   }
 
@@ -358,19 +336,6 @@ class Neats {
   /// SeriesCodec trait: View genuinely borrows the caller's buffer, so a
   /// store shard mapped from disk serves with no deserialization copy.
   static constexpr bool kZeroCopyView = true;
-
-  /// Dispatch probe: true when `bytes` carries the flat-format magic
-  /// (shared by v2 and v3) at an 8-byte-aligned address, i.e. the blob
-  /// should be routed to View rather than the legacy-v1 Deserialize path.
-  /// This is a format sniff, not a validity proof — View still rejects
-  /// corrupt content by aborting (NEATS_REQUIRE), exactly like Deserialize.
-  static bool IsZeroCopyOpenable(std::span<const uint8_t> bytes) {
-    if (bytes.size() < 8) return false;
-    if ((reinterpret_cast<uintptr_t>(bytes.data()) & 7) != 0) return false;
-    uint64_t magic;
-    std::memcpy(&magic, bytes.data(), 8);
-    return magic == kMagicV2;
-  }
 
   /// Introspection: a decoded view of fragment i (for examples & benches).
   struct FragmentInfo {
@@ -447,14 +412,12 @@ class Neats {
     return out;
   }
 
-  /// Shared body of Deserialize (copy mode) and View (borrow mode) for the
-  /// flat formats v2 and v3. In borrow mode every GetArray returns a span
-  /// into `bytes`.
+  /// Shared body of Deserialize (copy mode) and View (borrow mode). In
+  /// borrow mode every GetArray returns a span into `bytes`.
   static Neats LoadFlat(std::span<const uint8_t> bytes, bool borrow) {
     WordReader r(bytes, borrow);
-    NEATS_REQUIRE(r.Get() == kMagicV2, "not a NeaTS blob");
-    const uint64_t version = r.Get();
-    NEATS_REQUIRE(version == 2 || version == kFormatVersion,
+    NEATS_REQUIRE(r.Get() == kMagic, "not a NeaTS blob");
+    NEATS_REQUIRE(r.Get() == kFormatVersion,
                   "unsupported NeaTS format version");
     Neats out;
     out.n_ = r.Get();
@@ -539,112 +502,19 @@ class Neats {
           "corrupt NeaTS blob");
     }
     // The interleaved directory is redundant with S/B/O/K/D, and queries
-    // trust its records without bounds checks — so a stored directory (v3)
-    // is verified record-for-record against one rebuilt from the sections
-    // just validated (O(m), transient, like RankSelect's directory check);
-    // a v2 blob simply gets the rebuilt directory.
-    if (version >= 3) {
-      out.directory_ = FragmentDirectory::Load(r);
-      NEATS_REQUIRE(out.directory_.Matches(out.ComputeDirectoryRecords()),
-                    "corrupt NeaTS blob");
-    } else {
-      out.directory_ = FragmentDirectory(out.ComputeDirectoryRecords());
-    }
-    return out;
-  }
-
-  /// Legacy v1 reader: the blob stores the logical fragment table and the
-  /// succinct indexes are rebuilt (and therefore owned) on load.
-  static Neats DeserializeV1(std::span<const uint8_t> bytes) {
-    size_t pos = 0;
-    auto get64 = [&bytes, &pos]() {
-      NEATS_REQUIRE(pos + 8 <= bytes.size(), "truncated NeaTS blob");
-      uint64_t v = 0;
-      for (int b = 0; b < 8; ++b) v |= static_cast<uint64_t>(bytes[pos++]) << (8 * b);
-      return v;
-    };
-    NEATS_REQUIRE(get64() == kMagicV1, "not a NeaTS blob");
-    // Any count word is bounded by the bytes that could back it, so corrupt
-    // blobs abort instead of triggering huge allocations or OOB reads.
-    auto bounded = [&bytes, &pos](uint64_t count, size_t cell_bytes) {
-      NEATS_REQUIRE(count <= (bytes.size() - pos) / cell_bytes,
-                    "truncated NeaTS blob");
-      return static_cast<size_t>(count);
-    };
-    Neats out;
-    out.n_ = get64();
-    out.m_ = bounded(get64(), 32);  // four words per fragment row
-    // Same wrap guard as LoadV2: keeps the offsets accumulation exact.
-    NEATS_REQUIRE(out.n_ <= (uint64_t{1} << 56) && out.m_ <= out.n_,
+    // trust its records without bounds checks — so the stored directory is
+    // verified record-for-record against one rebuilt from the sections just
+    // validated (O(m), transient, like RankSelect's directory check).
+    out.directory_ = FragmentDirectory::Load(r);
+    NEATS_REQUIRE(out.directory_.Matches(out.ComputeDirectoryRecords()),
                   "corrupt NeaTS blob");
-    out.shift_ = static_cast<int64_t>(get64());
-    out.starts_mode_ = get64() == 0 ? StartsIndex::kEliasFano
-                                    : StartsIndex::kBitVector;
-    size_t kinds = bounded(get64(), 8);
-    NEATS_REQUIRE(kinds <= static_cast<size_t>(kNumFunctionKinds) &&
-                      (kinds > 0 || out.m_ == 0),
-                  "corrupt NeaTS blob");
-    for (size_t i = 0; i < kinds; ++i) {
-      out.kind_table_.push_back(static_cast<FunctionKind>(get64()));
-    }
-    std::vector<uint64_t> starts(out.m_), widths(out.m_), disp(out.m_);
-    std::vector<uint32_t> kind_symbols(out.m_);
-    std::vector<size_t> params_needed(kinds, 0);
-    for (size_t i = 0; i < out.m_; ++i) {
-      starts[i] = get64();
-      kind_symbols[i] = static_cast<uint32_t>(get64());
-      widths[i] = get64();
-      disp[i] = get64();
-      NEATS_REQUIRE(kind_symbols[i] < kinds && widths[i] <= 64 &&
-                        (i == 0 ? starts[i] == 0 : starts[i] > starts[i - 1]) &&
-                        starts[i] < out.n_,
-                    "corrupt NeaTS blob");
-      params_needed[kind_symbols[i]] += static_cast<size_t>(
-          NumParams(out.kind_table_[kind_symbols[i]]));
-    }
-    out.params_.reserve(kinds);
-    for (size_t k = 0; k < kinds; ++k) {
-      std::vector<double> p(bounded(get64(), 8));
-      for (double& v : p) v = std::bit_cast<double>(get64());
-      NEATS_REQUIRE(p.size() == params_needed[k], "corrupt NeaTS blob");
-      out.params_.emplace_back(std::move(p));
-    }
-    uint64_t total_bits = get64();
-    std::vector<uint64_t> corrections(bounded(get64(), 8));
-    for (uint64_t& w : corrections) w = get64();
-    NEATS_REQUIRE(corrections.size() == CeilDiv(total_bits, 64),
-                  "corrupt NeaTS blob");
-    out.corrections_ = Storage<uint64_t>(std::move(corrections));
-
-    if (out.m_ > 0) {
-      // Rebuild the succinct indexes.
-      if (out.starts_mode_ == StartsIndex::kEliasFano) {
-        out.starts_ef_ = EliasFano(starts, out.n_);
-      } else {
-        BitVector bv(out.n_);
-        for (uint64_t s : starts) bv.Set(s);
-        out.starts_bv_ = RankSelect(std::move(bv));
-      }
-      std::vector<uint64_t> offsets(out.m_ + 1, 0);
-      for (size_t i = 0; i < out.m_; ++i) {
-        uint64_t end = i + 1 < out.m_ ? starts[i + 1] : out.n_;
-        offsets[i + 1] = offsets[i] + (end - starts[i]) * widths[i];
-      }
-      NEATS_REQUIRE(offsets[out.m_] == total_bits, "corrupt NeaTS blob");
-      out.widths_ = PackedArray::FromValues(widths);
-      out.displacement_ = PackedArray::FromValues(disp);
-      out.offsets_ = EliasFano(offsets, total_bits + 1);
-      out.kinds_wt_ = WaveletTree(kind_symbols, static_cast<uint32_t>(kinds));
-      out.directory_ = FragmentDirectory(out.ComputeDirectoryRecords());
-    }
     return out;
   }
 
   /// Rebuilds the interleaved directory records from the S/B/O/K/D
   /// structures, in fragment order — the inverse of what BuildLayout packs
-  /// at compress time. Loaders use this both to populate the directory for
-  /// pre-v3 blobs and as the expected value a stored v3 directory must
-  /// match byte-for-byte (zero pad included).
+  /// at compress time. Loaders use it as the expected value a stored
+  /// directory must match byte-for-byte (zero pad included).
   std::vector<FragmentDirectory::Record> ComputeDirectoryRecords() const {
     std::vector<FragmentDirectory::Record> records(m_);
     for (size_t i = 0; i < m_; ++i) {
@@ -901,12 +771,26 @@ class Neats {
   /// fixed-size prefix Serialize emits before the section list).
   size_t HeaderSizeInBits() const { return (7 + kind_table_.size()) * 64; }
 
-  static constexpr uint64_t kMagicV1 = 0x5354414554414E45ULL;  // legacy
-  // Little-endian "NEATSv2\0": the mapped bytes of a flat blob start with
-  // the ASCII name, so `head -c7` / file sniffers see it verbatim. The magic
-  // names the format *family*; additive revisions (v3's directory section)
-  // bump the version word, not the magic (ROADMAP format policy).
-  static constexpr uint64_t kMagicV2 = 0x003276535441454EULL;
+  /// Bits Serialize writes before the trailing directory section: the
+  /// header, S/B/O/K/D, the corrections and the parameter arrays.
+  size_t SectionsSizeInBits() const {
+    size_t bits = HeaderSizeInBits() + 64 + corrections_.size() * 64 + 64;
+    for (const auto& p : params_) bits += 64 + p.size() * 64;
+    if (m_ > 0) {
+      size_t s_bits = starts_mode_ == StartsIndex::kEliasFano
+                          ? starts_ef_.SizeInBits()
+                          : starts_bv_.SizeInBits();
+      bits += s_bits + widths_.SizeInBits() + displacement_.SizeInBits() +
+              offsets_.SizeInBits() + kinds_wt_.SizeInBits();
+    }
+    return bits;
+  }
+
+  // Little-endian "NEATSv2\0": the mapped bytes of a blob start with the
+  // ASCII name, so `head -c7` / file sniffers see it verbatim. The magic
+  // names the format *family*; revisions bump the version word, not the
+  // magic (docs/FORMAT.md).
+  static constexpr uint64_t kMagic = 0x003276535441454EULL;
   static constexpr uint64_t kFormatVersion = 3;
 
   uint64_t n_ = 0;

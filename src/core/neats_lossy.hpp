@@ -164,7 +164,7 @@ class NeatsLossy {
   }
 
   /// Rebuilds from Serialize output into owned storage (the in-memory
-  /// directory is rebuilt, as for pre-v3 Neats blobs).
+  /// directory is rebuilt from the stored sections).
   static NeatsLossy Deserialize(std::span<const uint8_t> bytes) {
     return Load(bytes, /*borrow=*/false);
   }

@@ -9,11 +9,10 @@
 //   word 1   high 32 bits: trailer magic "NCK1"; low 32 bits: CRC32C(payload)
 //
 // CheckChecksumTrailer distinguishes three states on read: kValid (trailer
-// present, CRC matches), kAbsent (no trailer shape at the tail — a legacy
-// file written before checksums existed), and kCorrupt (the tail claims to
-// be a trailer but the CRC disagrees — bit rot or a torn write). Callers
-// that *know* a trailer must be present (a manifest v3, a shard named by a
-// checksummed manifest row) treat kAbsent as corruption too.
+// present, CRC matches), kAbsent (no trailer shape at the tail — a
+// truncated or foreign file), and kCorrupt (the tail claims to be a trailer
+// but the CRC disagrees — bit rot or a torn write). Every caller requires a
+// valid trailer, so kAbsent and kCorrupt are both rejected.
 
 #pragma once
 
@@ -76,7 +75,7 @@ inline void AppendChecksumTrailer(std::vector<uint8_t>* bytes) {
 /// Outcome of probing a file's tail for a checksum trailer.
 enum class TrailerState {
   kValid,    // trailer present, CRC matches the payload
-  kAbsent,   // no trailer shape at the tail (legacy, pre-checksum file)
+  kAbsent,   // no trailer shape at the tail (truncated or foreign file)
   kCorrupt,  // trailer shape present but the CRC disagrees
 };
 

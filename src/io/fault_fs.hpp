@@ -157,8 +157,8 @@ class FaultFs final : public FileSystem {
     return it->second->cache;
   }
 
-  /// Plants `path` with `bytes`, fully durable — for handcrafting legacy
-  /// or corrupt files without going through the write path.
+  /// Plants `path` with `bytes`, fully durable — for handcrafting corrupt
+  /// or unsupported files without going through the write path.
   void SetRaw(const std::string& path, std::vector<uint8_t> bytes) {
     std::lock_guard<std::mutex> lock(mu_);
     auto inode = std::make_shared<Inode>();

@@ -3,31 +3,27 @@
 //
 // A store directory holds one compressed blob per sealed shard plus
 // MANIFEST.neats, which records the target shard size and, per shard, the
-// global index range it covers, the byte size of its blob, and — since
-// manifest v2 — the CodecId that compressed it (the codec registry routes
-// open/query per shard by this word, which is what makes mixed-codec stores
-// possible). The manifest is what OpenDir routes by: shard k serves global
-// indices [shards[k].first, shards[k].first + shards[k].count), the blob
-// lives in ShardFileName(k), and the recorded blob_bytes is cross-checked
-// against the actual file before the blob is opened — a manifest/blob
-// mismatch aborts instead of serving a half-written store.
+// global index range it covers, the byte size of its blob, the CodecId that
+// compressed it (the codec registry routes open/query per shard by this
+// word, which is what makes mixed-codec stores possible) and the CRC32C of
+// its blob payload. The manifest is what OpenDir routes by: shard k serves
+// global indices [shards[k].first, shards[k].first + shards[k].count), the
+// blob lives in ShardFileName(k), and the recorded blob_bytes is
+// cross-checked against the actual file before the blob is opened — a
+// manifest/blob mismatch aborts instead of serving a half-written store.
 //
-// The wire format reuses the flat word grammar of format v2/v3 (WordWriter/
+// The wire format reuses the flat word grammar of the blobs (WordWriter/
 // WordReader): magic "NEATSMF\0", a version word, the target shard size,
-// the shard count, then one row per shard — three words in version 1
-// (first, count, blob_bytes; every shard is NeaTS), four in version 2 (the
-// codec id appended), five in version 3 (a blob-CRC word appended: high 32
-// bits 1 when a CRC32C of the blob payload is recorded in the low 32 bits,
-// all-zero when it is not). A version-3 manifest additionally carries the
-// 16-byte CRC32C checksum trailer (io/checksum.hpp) after its payload, so
-// bit rot in the routing file itself is detected before any row is trusted.
-// Version 1 and 2 manifests load forever (additive-revision policy,
-// ROADMAP) but report a warning — they carry no checksums, so the caller
-// knows to upgrade them on the next Flush(). Writes always emit version 3.
-// Loads are hardened the same way as blob loads — counts are bounded by the
-// backing bytes, coverage must be contiguous from index 0, codec ids must
-// be assigned, and every violation aborts loudly (NEATS_REQUIRE), matching
-// the clobber-sweep contract of the other loaders.
+// the shard count, then one five-word row per shard (first, count,
+// blob_bytes, codec id, and a blob-CRC word: high 32 bits 1, the CRC32C of
+// the blob payload in the low 32 bits). The 16-byte CRC32C checksum trailer
+// (io/checksum.hpp) follows the payload, so bit rot in the routing file
+// itself is detected before any row is trusted. Only version 3 is read or
+// written; any other version word is rejected. Loads are hardened the same
+// way as blob loads — counts are bounded by the backing bytes, coverage
+// must be contiguous from index 0, codec ids must be assigned, and every
+// violation throws neats::Error, matching the clobber-sweep contract of the
+// other loaders.
 
 #pragma once
 
@@ -51,9 +47,8 @@ struct StoreManifest {
     uint64_t first = 0;       // global index of the shard's first value
     uint64_t count = 0;       // number of values in the shard (> 0)
     uint64_t blob_bytes = 0;  // byte size of the blob's codec payload
-    CodecId codec = CodecId::kNeats;  // codec that compressed the blob (v2)
-    uint32_t crc = 0;      // CRC32C of the blob payload, if has_crc (v3)
-    bool has_crc = false;  // false for rows loaded from a v1/v2 manifest
+    CodecId codec = CodecId::kNeats;  // codec that compressed the blob
+    uint32_t crc = 0;                 // CRC32C of the blob payload
   };
 
   uint64_t shard_size = 0;  // target values per sealed shard (> 0)
@@ -87,39 +82,32 @@ struct StoreManifest {
       w.Put(s.count);
       w.Put(s.blob_bytes);
       w.Put(static_cast<uint64_t>(s.codec));
-      w.Put(s.has_crc ? (uint64_t{1} << 32) | s.crc : 0);
+      w.Put(kCrcFlag | s.crc);
     }
     AppendChecksumTrailer(out);
   }
 
-  /// Parses Serialize output (version 3, checksum trailer required) or a
-  /// legacy version-1/2 manifest (no checksums; a warning is appended to
-  /// `warnings` when non-null). Aborts (NEATS_REQUIRE) on anything that is
-  /// not a well-formed manifest: wrong magic/version, a failed checksum, a
-  /// shard count the bytes cannot back, zero-sized shards, an unassigned
-  /// codec id, or coverage that is not contiguous from global index 0.
-  static StoreManifest Deserialize(std::span<const uint8_t> bytes,
-                                   std::vector<std::string>* warnings =
-                                       nullptr) {
+  /// Parses Serialize output. Throws neats::Error on anything that is not
+  /// a well-formed version-3 manifest: wrong magic, any other version (the
+  /// message names it), a failed checksum, a shard count the bytes cannot
+  /// back, zero-sized shards, an unassigned codec id, a crc flag other than
+  /// 1, or coverage that is not contiguous from global index 0.
+  static StoreManifest Deserialize(std::span<const uint8_t> bytes) {
     NEATS_REQUIRE(bytes.size() >= 16, "not a NeaTS store manifest");
     uint64_t magic, version;
     std::memcpy(&magic, bytes.data(), 8);
     std::memcpy(&version, bytes.data() + 8, 8);
     NEATS_REQUIRE(magic == kMagic, "not a NeaTS store manifest");
-    NEATS_REQUIRE(version >= 1 && version <= kVersion,
-                  "unsupported NeaTS store manifest version");
-    std::span<const uint8_t> payload = bytes;
-    if (version >= 3) {
-      const TrailerInfo trailer = CheckChecksumTrailer(bytes);
-      NEATS_REQUIRE(trailer.state == TrailerState::kValid,
-                    "NeaTS store manifest fails its checksum");
-      payload = trailer.payload;
-    } else if (warnings != nullptr) {
-      warnings->push_back(
-          "manifest is version " + std::to_string(version) +
-          " (no checksums); the next Flush() upgrades it to version 3");
+    if (version != kVersion) {
+      throw Error("unsupported NeaTS store manifest version " +
+                  std::to_string(version) + " (only version " +
+                  std::to_string(kVersion) + " is read)");
     }
-    const size_t row_words = version == 1 ? 3 : version == 2 ? 4 : 5;
+    const TrailerInfo trailer = CheckChecksumTrailer(bytes);
+    NEATS_REQUIRE(trailer.state == TrailerState::kValid,
+                  "NeaTS store manifest fails its checksum");
+    const std::span<const uint8_t> payload = trailer.payload;
+    constexpr size_t kRowWords = 5;
     WordReader r(payload, /*borrow=*/false);
     r.Get();  // magic, checked above
     r.Get();  // version, checked above
@@ -128,7 +116,7 @@ struct StoreManifest {
     NEATS_REQUIRE(m.shard_size > 0 && m.shard_size <= (uint64_t{1} << 56),
                   "corrupt NeaTS store manifest");
     uint64_t count = r.Get();
-    NEATS_REQUIRE(count <= (payload.size() - r.position()) / (8 * row_words),
+    NEATS_REQUIRE(count <= (payload.size() - r.position()) / (8 * kRowWords),
                   "corrupt NeaTS store manifest");
     m.shards.reserve(count);
     uint64_t next_first = 0;
@@ -137,19 +125,13 @@ struct StoreManifest {
       s.first = r.Get();
       s.count = r.Get();
       s.blob_bytes = r.Get();
-      if (version >= 2) {
-        uint64_t codec = r.Get();
-        NEATS_REQUIRE(IsValidCodecId(codec), "corrupt NeaTS store manifest");
-        s.codec = static_cast<CodecId>(codec);
-      }
-      if (version >= 3) {
-        const uint64_t crc_word = r.Get();
-        NEATS_REQUIRE(crc_word >> 32 <= 1, "corrupt NeaTS store manifest");
-        s.has_crc = (crc_word >> 32) == 1;
-        s.crc = static_cast<uint32_t>(crc_word);
-        NEATS_REQUIRE(s.has_crc || s.crc == 0,
-                      "corrupt NeaTS store manifest");
-      }
+      const uint64_t codec = r.Get();
+      NEATS_REQUIRE(IsValidCodecId(codec), "corrupt NeaTS store manifest");
+      s.codec = static_cast<CodecId>(codec);
+      const uint64_t crc_word = r.Get();
+      NEATS_REQUIRE((crc_word & ~uint64_t{0xFFFFFFFF}) == kCrcFlag,
+                    "corrupt NeaTS store manifest");
+      s.crc = static_cast<uint32_t>(crc_word);
       // Contiguous coverage from 0 and the same wrap guard as the blob
       // loaders: a forged count cannot push `first + count` past 2^56.
       NEATS_REQUIRE(s.first == next_first && s.count > 0 &&
@@ -169,6 +151,9 @@ struct StoreManifest {
   // magics ("NEATSv2", "NEATSL2").
   static constexpr uint64_t kMagic = 0x00464D535441454EULL;
   static constexpr uint64_t kVersion = 3;
+  // High half of every row's CRC word. It is always 1; the bytes keep the
+  // flag so the row layout stays that of every manifest written so far.
+  static constexpr uint64_t kCrcFlag = uint64_t{1} << 32;
 };
 
 }  // namespace neats

@@ -164,22 +164,15 @@ inline Status ScrubStore(NeatsStore& store) {
 struct MappedSeries {
   MmapFile map;
   Neats series;
-  bool zero_copy = false;  // false = legacy v1 blob, deserialized
 };
 
-/// Opens a serialized NeaTS blob file for querying: flat-format (v2/v3)
-/// blobs are mmap'd and served zero-copy, legacy v1 blobs fall back to an
-/// owning load.
+/// Opens a serialized NeaTS blob file for querying: the blob is mmap'd and
+/// served zero-copy.
 inline Result<MappedSeries> OpenSeriesFile(const std::string& path) {
   return Checked([&] {
     MappedSeries opened;
     opened.map = MmapFile::Open(path);
-    if (Neats::IsZeroCopyOpenable(opened.map.bytes())) {
-      opened.series = Neats::View(opened.map.bytes());
-      opened.zero_copy = true;
-    } else {
-      opened.series = Neats::Deserialize(opened.map.bytes());
-    }
+    opened.series = Neats::View(opened.map.bytes());
     return opened;
   });
 }

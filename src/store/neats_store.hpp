@@ -389,9 +389,8 @@ class NeatsStore {
     return store;
   }
 
-  /// Opens a store directory: parses the manifest (any version; pre-v3
-  /// versions add an upgrade warning to the recovery report), verifies and
-  /// opens every shard blob through the codec registry — zero-copy where
+  /// Opens a store directory: parses the manifest (version 3 only), verifies
+  /// and opens every shard blob through the codec registry — zero-copy where
   /// the shard's codec supports borrowing — and replays the write-ahead
   /// log over the manifested prefix. A shard that fails verification
   /// (missing blob, size mismatch, bad checksum, codec rejection) is
@@ -416,12 +415,12 @@ class NeatsStore {
           "removed stale manifest temp file left by an interrupted Flush");
     }
     const io::MappedRegion manifest_bytes = fs.OpenRead(manifest_path);
-    const StoreManifest manifest = StoreManifest::Deserialize(
-        manifest_bytes.bytes(), &store.report_.warnings);
+    const StoreManifest manifest =
+        StoreManifest::Deserialize(manifest_bytes.bytes());
     if (store.obs_ != nullptr) {
-      // Everything collected so far (stale temp file, manifest version
-      // upgrades) goes through the structured log hook; RecoverWal below
-      // reports its own warnings under their specific event ids.
+      // Everything collected so far (a stale temp file) goes through the
+      // structured log hook; RecoverWal below reports its own warnings
+      // under their specific event ids.
       for (const std::string& w : store.report_.warnings) {
         store.obs_->Log(obs::EventId::kOpenWarning, obs::Severity::kWarn,
                         obs::kNoShard, w);
@@ -1178,19 +1177,13 @@ class NeatsStore {
     return AccessUnsealed(i);
   }
 
-  /// One sealed shard: its slice of the global index space and the
-  /// type-erased series serving it — owned right after an in-memory seal,
-  /// or borrowing `map` when the codec opened the blob zero-copy. A null
-  /// `series` means the shard is quarantined (`quarantine` says why): its
-  /// routing row stays so neighbors keep their slots, but queries into it
-  /// throw kUnavailable.
-  struct Shard {
-    uint64_t first = 0;
-    uint64_t count = 0;
-    uint64_t blob_bytes = 0;  // codec payload size (file minus the trailer)
-    CodecId codec = CodecId::kNeats;
-    uint32_t crc = 0;      // CRC32C of the blob payload, if has_crc
-    bool has_crc = false;  // false only for unverified legacy (v1/v2) rows
+  /// One sealed shard: its manifest row (slice of the global index space,
+  /// blob size, codec, payload CRC) plus the type-erased series serving it
+  /// — owned right after an in-memory seal, or borrowing `map` when the
+  /// codec opened the blob zero-copy. A null `series` means the shard is
+  /// quarantined (`quarantine` says why): its routing row stays so
+  /// neighbors keep their slots, but queries into it throw kUnavailable.
+  struct Shard : StoreManifest::Shard {
     std::unique_ptr<SealedSeries> series;  // null = quarantined
     std::string quarantine;  // why the shard is not serving
     io::MappedRegion map;  // backs `series` when served from disk
@@ -1422,7 +1415,6 @@ class NeatsStore {
       s.blob_bytes = c.blob_bytes;
       s.codec = c.codec;
       s.crc = c.crc;
-      s.has_crc = true;
       if (!dir_.empty() && CodecRegistry::ZeroCopyView(c.codec)) {
         s.map = fs_->OpenRead(dir_ + "/" +
                               StoreManifest::ShardFileName(c.ordinal));
@@ -1460,29 +1452,8 @@ class NeatsStore {
   void WriteManifest() {
     StoreManifest manifest;
     manifest.shard_size = options_.shard_size;
-    manifest.shards.reserve(shards_.size());
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      Shard& s = shards_[i];
-      if (!s.has_crc && s.series != nullptr) {
-        // Healthy shard from a pre-checksum (v1/v2) manifest: compute its
-        // payload CRC now so the rewritten manifest v3 row covers it.
-        const io::MappedRegion map =
-            fs_->OpenRead(dir_ + "/" + StoreManifest::ShardFileName(i));
-        const TrailerInfo trailer = CheckChecksumTrailer(map.bytes());
-        s.crc = trailer.state == TrailerState::kValid
-                    ? trailer.crc
-                    : Crc32c(map.bytes());  // bare legacy blob: no trailer
-        s.has_crc = true;
-      }
-      StoreManifest::Shard row;
-      row.first = s.first;
-      row.count = s.count;
-      row.blob_bytes = s.blob_bytes;
-      row.codec = s.codec;
-      row.crc = s.crc;
-      row.has_crc = s.has_crc;
-      manifest.shards.push_back(row);
-    }
+    // Each Shard converts to its StoreManifest::Shard base: the row.
+    manifest.shards.assign(shards_.begin(), shards_.end());
     std::vector<uint8_t> bytes;
     manifest.Serialize(&bytes);
     // Write-to-temp + rename: a process crash mid-Flush can never destroy
@@ -1666,35 +1637,13 @@ class NeatsStore {
   /// caught by the caller and quarantines the shard instead of throwing.
   Shard OpenShard(size_t index, const StoreManifest::Shard& row) {
     Shard shard;
-    shard.first = row.first;
-    shard.count = row.count;
-    shard.blob_bytes = row.blob_bytes;
-    shard.codec = row.codec;
-    shard.crc = row.crc;
-    shard.has_crc = row.has_crc;
+    static_cast<StoreManifest::Shard&>(shard) = row;
     const std::string path =
         dir_ + "/" + StoreManifest::ShardFileName(index);
     try {
       io::MappedRegion map = fs_->OpenRead(path);
-      std::span<const uint8_t> payload;
-      if (map.size() == row.blob_bytes + kChecksumTrailerBytes) {
-        const TrailerInfo trailer = CheckChecksumTrailer(map.bytes());
-        NEATS_REQUIRE(trailer.state == TrailerState::kValid,
-                      "shard blob fails its checksum");
-        NEATS_REQUIRE(!row.has_crc || trailer.crc == row.crc,
-                      "shard blob checksum disagrees with manifest");
-        payload = trailer.payload;
-        shard.crc = trailer.crc;
-        shard.has_crc = true;
-      } else if (map.size() == row.blob_bytes && !row.has_crc) {
-        // Bare legacy blob named by a v1/v2 manifest: no checksum to hold
-        // it to — the codec's structural validation is the only gate.
-        payload = map.bytes();
-      } else {
-        NEATS_REQUIRE(false, "store shard blob disagrees with manifest");
-      }
-      shard.series = CodecRegistry::Open(row.codec, payload,
-                                         /*allow_view=*/true);
+      shard.series = CodecRegistry::Open(
+          row.codec, VerifiedPayload(map.bytes(), row), /*allow_view=*/true);
       NEATS_REQUIRE(shard.series->size() == row.count,
                     "store shard blob disagrees with manifest");
       // A codec that deserialized into owned storage no longer needs the
@@ -1719,24 +1668,27 @@ class NeatsStore {
     return shard;
   }
 
+  /// The codec payload of a shard blob file, checked against its manifest
+  /// row: the file must be exactly the payload plus a valid checksum
+  /// trailer carrying the CRC the row recorded. Throws on any mismatch.
+  static std::span<const uint8_t> VerifiedPayload(
+      std::span<const uint8_t> file, const StoreManifest::Shard& row) {
+    NEATS_REQUIRE(file.size() == row.blob_bytes + kChecksumTrailerBytes,
+                  "store shard blob disagrees with manifest");
+    const TrailerInfo trailer = CheckChecksumTrailer(file);
+    NEATS_REQUIRE(trailer.state == TrailerState::kValid,
+                  "shard blob fails its checksum");
+    NEATS_REQUIRE(trailer.crc == row.crc,
+                  "shard blob checksum disagrees with manifest");
+    return trailer.payload;
+  }
+
   /// Re-reads shard `index`'s blob file and re-checks size + checksum —
   /// the Scrub pass that catches bit rot after open. Throws on mismatch.
   void VerifyShardBlob(size_t index) {
-    const Shard& s = shards_[index];
-    const std::string path =
-        dir_ + "/" + StoreManifest::ShardFileName(index);
-    const io::MappedRegion map = fs_->OpenRead(path);
-    if (map.size() == s.blob_bytes + kChecksumTrailerBytes) {
-      const TrailerInfo trailer = CheckChecksumTrailer(map.bytes());
-      NEATS_REQUIRE(trailer.state == TrailerState::kValid,
-                    "shard blob fails its checksum");
-      NEATS_REQUIRE(!s.has_crc || trailer.crc == s.crc,
-                    "shard blob checksum disagrees with manifest");
-    } else if (map.size() == s.blob_bytes && !s.has_crc) {
-      // Legacy blob without a trailer: nothing cryptographic to re-check.
-    } else {
-      NEATS_REQUIRE(false, "store shard blob disagrees with manifest");
-    }
+    const io::MappedRegion map =
+        fs_->OpenRead(dir_ + "/" + StoreManifest::ShardFileName(index));
+    VerifiedPayload(map.bytes(), shards_[index]);
   }
 
   void Quarantine(size_t index, const std::string& why) {
@@ -1791,7 +1743,6 @@ class NeatsStore {
       series->Serialize(&blob);
       s.blob_bytes = blob.size();
       s.crc = Crc32c({blob.data(), blob.size()});
-      s.has_crc = true;
       AppendChecksumTrailer(&blob);
       io::WriteFileDurableTo(
           *fs_, dir_ + "/" + StoreManifest::ShardFileName(index),

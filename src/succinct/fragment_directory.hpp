@@ -20,10 +20,10 @@
 // mmap'd blob (page-aligned) reads records at predictable line offsets.
 //
 // The directory is redundant: every field is derivable from S/B/O/K/D, and
-// the loaders exploit that — a v3 blob's stored directory is verified
-// against one rebuilt from the other sections (like RankSelect verifies its
-// stored rank/select directories), and v1/v2 blobs get a directory rebuilt
-// on load. Queries then trust the records without bounds checks.
+// the loader exploits that — the stored directory is verified against one
+// rebuilt from the other sections (like RankSelect verifies its stored
+// rank/select directories). Queries then trust the records without bounds
+// checks.
 
 #pragma once
 

@@ -8,9 +8,8 @@
 //   - Access / sorted AccessBatch / DecompressRange vs the raw values, with
 //     probe sets hammering block boundaries and duplicates;
 //   - owned Deserialize vs View on the block surface;
-//   - v1 -> v2 migration: legacy blobs (no index section) load, serve
-//     identically, and re-serialize byte-identical to fresh v2 bytes;
-//   - clobber sweep concentrated on the new serialized index sections;
+//   - clobber sweep concentrated on the serialized index sections, and
+//     rejection of the retired version word 1;
 //   - store level: the decoded-block cache on/off/tiny (hit/miss/eviction
 //     stats, unsorted/duplicate/descending probes), and a mixed-codec
 //     directory store with batches crossing Neats <-> ALP <-> XOR shard
@@ -24,6 +23,7 @@
 #include <filesystem>
 #include <random>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "codecs/alp_codec.hpp"
@@ -76,14 +76,21 @@ std::string TempStoreDir(const char* tag) {
       .string();
 }
 
-// The legacy (v1, index-free) framing of each codec, via its test peer.
-void SerializeLegacy(const AlpCodec& c, std::vector<uint8_t>* out) {
-  AlpCodecTestPeer::SerializeV1(c, out);
+// Bytes of the index section each codec's blob ends with: ALP's per-vector
+// offset index (a count word, one word per vector), the XOR streams' skip
+// index (interval and total words, three words per checkpoint).
+size_t IndexSectionBytes(const AlpCodec& c) {
+  return 8 * (1 + CeilDiv(c.size(), c.BlockValues()));
 }
 template <typename Xor, uint64_t kMagic>
-void SerializeLegacy(const XorSeriesCodec<Xor, kMagic>& c,
-                     std::vector<uint8_t>* out) {
-  XorCodecTestPeer::SerializeV1(c, out);
+size_t IndexSectionBytes(const XorSeriesCodec<Xor, kMagic>& c) {
+  using Codec = XorSeriesCodec<Xor, kMagic>;
+  size_t checkpoints = 0;
+  for (uint64_t first = 0; first < c.size(); first += c.BlockValues()) {
+    const uint64_t count = std::min(c.BlockValues(), c.size() - first);
+    checkpoints += (count - 1) / Codec::kSkipInterval;
+  }
+  return 8 * (2 + 3 * checkpoints);
 }
 
 template <typename C>
@@ -229,41 +236,27 @@ TYPED_TEST(BlockCodecTest, ViewMatchesDeserializeOnBlockSurface) {
   }
 }
 
-// A legacy v1 blob (no index section) loads, serves every value, and
-// re-serializes byte-identical to a fresh v2 compression — the migration
-// path is a pure upgrade.
-TYPED_TEST(BlockCodecTest, LegacyV1BlobsUpgradeToV2) {
-  for (size_t n : {this->series_.size(), size_t{129}, size_t{1}, size_t{0}}) {
-    std::vector<int64_t> values(this->series_.begin(),
-                                this->series_.begin() + n);
-    TypeParam fresh = TypeParam::Compress(values, {});
-    std::vector<uint8_t> v1;
-    SerializeLegacy(fresh, &v1);
-    TypeParam upgraded = TypeParam::Deserialize(v1);
-    ASSERT_EQ(upgraded.size(), values.size());
-    for (size_t k = 0; k < n; k += 1 + n / 500) {
-      ASSERT_EQ(upgraded.Access(k), values[k]) << k;
-    }
-    std::vector<uint8_t> v2_fresh, v2_upgraded;
-    fresh.Serialize(&v2_fresh);
-    upgraded.Serialize(&v2_upgraded);
-    EXPECT_EQ(v2_fresh, v2_upgraded);
-    EXPECT_GT(v2_fresh.size(), v1.size());  // the index section is real
-  }
-}
-
-// Clobber sweep concentrated on the new index sections: every word from
-// the version word and the whole region the v2 format appends after the v1
-// payload gets flipped; the loader must throw or produce an object that
-// serves without out-of-bounds access (the sanitizer CI job runs this).
+// Clobber sweep concentrated on the index sections: the version word and
+// every word of the trailing index section get flipped; the loader must
+// throw or produce an object that serves without out-of-bounds access (the
+// sanitizer CI job runs this). The retired version word 1 is rejected
+// outright by both loaders.
 TYPED_TEST(BlockCodecTest, IndexSectionClobberSweep) {
   TypeParam c = TypeParam::Compress(MixedSeries(4000, 41), {});
-  std::vector<uint8_t> blob, v1;
+  std::vector<uint8_t> blob;
   c.Serialize(&blob);
-  SerializeLegacy(c, &v1);
-  ASSERT_LT(v1.size(), blob.size());
+  std::vector<uint8_t> version1 = blob;
+  version1[8] = 1;
+  EXPECT_NEATS_ERROR(TypeParam::Deserialize(version1), "unsupported");
+  EXPECT_NEATS_ERROR(TypeParam::View(version1), "unsupported");
+  const size_t index_start = blob.size() - IndexSectionBytes(c);
   std::vector<size_t> words = {8};  // the version word
-  for (size_t w = v1.size(); w + 8 <= blob.size(); w += 8) words.push_back(w);
+  for (size_t w = index_start; w + 8 <= blob.size(); w += 8) {
+    words.push_back(w);
+  }
+  // ALP: 4 vectors; Gorilla/Chimp: 4 blocks of 7 checkpoints.
+  const size_t expected = std::is_same_v<TypeParam, AlpCodec> ? 5 : 86;
+  ASSERT_EQ(words.size() - 1, expected);
   for (size_t w : words) {
     std::vector<uint8_t> evil = blob;
     for (int b = 0; b < 8; ++b) evil[w + static_cast<size_t>(b)] ^= 0xFF;

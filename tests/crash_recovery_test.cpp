@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <random>
 #include <string>
 #include <vector>
@@ -317,7 +318,7 @@ TEST(CrashRecovery, BlobBitRotQuarantinesOnlyTheHitShard) {
 
 // A flipped bit in the manifest — the routing root — is fatal and
 // diagnosable: OpenDir throws an Error naming the manifest, never opens a
-// misrouted store.
+// misrouted store. The same holds for a manifest of a retired version.
 TEST(CrashRecovery, ManifestBitRotIsCaughtBeforeRouting) {
   const std::vector<int64_t> values = Series(800, 15);
   io::FaultFs fs;
@@ -342,6 +343,36 @@ TEST(CrashRecovery, ManifestBitRotIsCaughtBeforeRouting) {
     }
     fs.CorruptByte(manifest_path, offset, 0x04);
   }
+
+  // Manifests of the retired versions 1 and 2 (three and four words per
+  // row, no checksums) fail the open with a Status naming the version.
+  const std::vector<uint8_t> good = fs.ReadRaw(manifest_path);
+  const StoreManifest manifest = StoreManifest::Deserialize(good);
+  uint64_t magic;
+  std::memcpy(&magic, good.data(), 8);
+  for (uint64_t version : {1, 2}) {
+    std::vector<uint8_t> old;
+    WordWriter w(&old);
+    w.Put(magic);
+    w.Put(version);
+    w.Put(manifest.shard_size);
+    w.Put(manifest.shards.size());
+    for (const StoreManifest::Shard& row : manifest.shards) {
+      w.Put(row.first);
+      w.Put(row.count);
+      w.Put(row.blob_bytes);
+      if (version == 2) w.Put(static_cast<uint64_t>(row.codec));
+    }
+    fs.SetRaw(manifest_path, old);
+    Result<NeatsStore> opened = OpenStoreDir(kDir, BaseOptions(&fs));
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().code(), StatusCode::kFailed);
+    EXPECT_NE(opened.status().message().find("manifest version " +
+                                             std::to_string(version)),
+              std::string::npos)
+        << opened.status().message();
+  }
+  fs.SetRaw(manifest_path, good);
 
   NeatsStore healthy = NeatsStore::OpenDir(kDir, BaseOptions(&fs));
   ASSERT_EQ(healthy.size(), values.size());

@@ -539,12 +539,21 @@ TEST(StoreManifest, RoundTripAndValidation) {
   std::vector<uint8_t> bad_codec;
   alien.Serialize(&bad_codec);
   EXPECT_NEATS_ERROR(StoreManifest::Deserialize(bad_codec), "corrupt");
+
+  // A row whose crc flag word is 0 (the retired "no checksum recorded"
+  // marker) is rejected, even under a valid file checksum.
+  std::vector<uint8_t> no_crc = bytes;
+  no_crc.resize(no_crc.size() - kChecksumTrailerBytes);
+  const size_t crc_word = 8 * (4 + 5 * 1 + 4);  // header, row 0, row 1 word 4
+  std::memset(no_crc.data() + crc_word, 0, 8);
+  AppendChecksumTrailer(&no_crc);
+  EXPECT_NEATS_ERROR(StoreManifest::Deserialize(no_crc), "corrupt");
 }
 
 
 // ---------------------------------------------------------------------------
 // Codec-pluggable shards: fixed non-NeaTS codecs, the auto seal policy,
-// manifest v1 -> v2 migration, and the durability/prefetch satellites.
+// and the durability/prefetch satellites.
 // ---------------------------------------------------------------------------
 
 // Every registered codec can serve a whole store: append -> seal -> flush ->
@@ -796,140 +805,6 @@ TEST(NeatsStoreCodecs, AggregatesAcrossMixedCodecShards) {
     ASSERT_LE(std::abs(agg.value - exact), agg.error_bound + 1e-6);
   }
   ASSERT_EQ(store.RangeSum(0, values.size()), prefix[values.size()]);
-}
-
-// A version-1 manifest (three words per shard, written before codec ids
-// and checksums existed) opens forever: every shard defaults to NeaTS, the
-// open reports an upgrade warning, queries serve, and the next Flush
-// upgrades the file to the current checksummed version 3 in place.
-TEST(NeatsStoreCodecs, ManifestV1MigratesForward) {
-  std::vector<int64_t> values = MixedSeries(11000, 23);
-  std::string dir = TempStoreDir("migrate");
-  {
-    NeatsStoreOptions options;
-    options.shard_size = 4000;
-    NeatsStore store = NeatsStore::CreateDir(dir, options);
-    store.Append(values);
-    store.Flush();
-  }
-  const std::string manifest_path = dir + "/" + StoreManifest::FileName();
-  StoreManifest parsed =
-      StoreManifest::Deserialize(ReadFile(manifest_path));
-
-  // Rewrite the manifest in the legacy v1 layout by hand.
-  std::vector<uint8_t> v1;
-  WordWriter w(&v1);
-  uint64_t magic;
-  std::memcpy(&magic, ReadFile(manifest_path).data(), 8);
-  w.Put(magic);
-  w.Put(1);  // version
-  w.Put(parsed.shard_size);
-  w.Put(parsed.shards.size());
-  for (const StoreManifest::Shard& row : parsed.shards) {
-    w.Put(row.first);
-    w.Put(row.count);
-    w.Put(row.blob_bytes);
-  }
-  WriteFile(manifest_path, v1);
-
-  // The v1 parse defaults every shard to NeaTS and warns about the old
-  // version instead of rejecting it.
-  std::vector<std::string> warnings;
-  StoreManifest migrated = StoreManifest::Deserialize(v1, &warnings);
-  ASSERT_EQ(migrated.shards.size(), parsed.shards.size());
-  for (const StoreManifest::Shard& row : migrated.shards) {
-    EXPECT_EQ(row.codec, CodecId::kNeats);
-    EXPECT_FALSE(row.has_crc);
-  }
-  ASSERT_EQ(warnings.size(), 1u);
-  EXPECT_NE(warnings[0].find("version 1"), std::string::npos);
-
-  NeatsStore reopened = NeatsStore::OpenDir(dir);
-  ASSERT_EQ(reopened.size(), values.size());
-  EXPECT_FALSE(reopened.degraded());
-  ASSERT_FALSE(reopened.recovery_report().warnings.empty());
-  for (size_t k = 0; k < values.size(); k += 233) {
-    ASSERT_EQ(reopened.Access(k), values[k]);
-  }
-  // Flush rewrites the manifest as checksummed v3, backfilling per-shard
-  // CRCs from the blobs — and it round-trips idempotently.
-  reopened.Flush();
-  std::vector<uint8_t> after = ReadFile(manifest_path);
-  EXPECT_NE(after, v1);
-  warnings.clear();
-  StoreManifest upgraded = StoreManifest::Deserialize(after, &warnings);
-  EXPECT_TRUE(warnings.empty());  // current version: no upgrade nag
-  ASSERT_EQ(upgraded.shards.size(), parsed.shards.size());
-  for (const StoreManifest::Shard& row : upgraded.shards) {
-    EXPECT_TRUE(row.has_crc);
-  }
-  reopened.Flush();
-  EXPECT_EQ(ReadFile(manifest_path), after);
-  std::filesystem::remove_all(dir);
-}
-
-// A version-2 manifest (four words per shard: codec ids, but no checksums)
-// also loads forever: the mixed per-shard codecs are preserved, the open
-// warns, and the next Flush upgrades to v3 with backfilled blob CRCs.
-TEST(NeatsStoreCodecs, ManifestV2MigratesForward) {
-  std::vector<int64_t> values = CodecContrastSeries(4000, 8000, 27);
-  std::string dir = TempStoreDir("migrate_v2");
-  {
-    NeatsStoreOptions options;
-    options.shard_size = 4000;
-    options.seal_policy = SealPolicy::kAuto;
-    options.codec_candidates = {CodecId::kNeats, CodecId::kGorilla};
-    NeatsStore store = NeatsStore::CreateDir(dir, options);
-    store.Append(values);
-    store.Flush();
-  }
-  const std::string manifest_path = dir + "/" + StoreManifest::FileName();
-  StoreManifest parsed = StoreManifest::Deserialize(ReadFile(manifest_path));
-  ASSERT_GE(parsed.shards.size(), 2u);
-  ASSERT_NE(parsed.shards[0].codec, parsed.shards[1].codec);
-
-  // Rewrite the manifest in the legacy v2 layout by hand.
-  std::vector<uint8_t> v2;
-  WordWriter w(&v2);
-  uint64_t magic;
-  std::memcpy(&magic, ReadFile(manifest_path).data(), 8);
-  w.Put(magic);
-  w.Put(2);  // version
-  w.Put(parsed.shard_size);
-  w.Put(parsed.shards.size());
-  for (const StoreManifest::Shard& row : parsed.shards) {
-    w.Put(row.first);
-    w.Put(row.count);
-    w.Put(row.blob_bytes);
-    w.Put(static_cast<uint64_t>(row.codec));
-  }
-  WriteFile(manifest_path, v2);
-
-  std::vector<std::string> warnings;
-  StoreManifest migrated = StoreManifest::Deserialize(v2, &warnings);
-  ASSERT_EQ(warnings.size(), 1u);
-  EXPECT_NE(warnings[0].find("version 2"), std::string::npos);
-  ASSERT_EQ(migrated.shards.size(), parsed.shards.size());
-  for (size_t i = 0; i < migrated.shards.size(); ++i) {
-    EXPECT_EQ(migrated.shards[i].codec, parsed.shards[i].codec);
-    EXPECT_FALSE(migrated.shards[i].has_crc);
-  }
-
-  NeatsStore reopened = NeatsStore::OpenDir(dir);
-  EXPECT_FALSE(reopened.degraded());
-  ASSERT_EQ(reopened.size(), values.size());
-  for (size_t k = 0; k < values.size(); k += 311) {
-    ASSERT_EQ(reopened.Access(k), values[k]) << k;
-  }
-  reopened.Flush();
-  StoreManifest upgraded =
-      StoreManifest::Deserialize(ReadFile(manifest_path));
-  ASSERT_EQ(upgraded.shards.size(), parsed.shards.size());
-  for (size_t i = 0; i < upgraded.shards.size(); ++i) {
-    EXPECT_EQ(upgraded.shards[i].codec, parsed.shards[i].codec);
-    EXPECT_TRUE(upgraded.shards[i].has_crc);
-  }
-  std::filesystem::remove_all(dir);
 }
 
 // Durability satellite: the fsync'd write path round-trips bytes exactly
