@@ -163,25 +163,42 @@ inline uint64_t GetU64(const uint8_t* p) {
 
 }  // namespace wire_internal
 
-/// Appends one complete frame (header + payload) to `out`.
-inline void AppendFrame(std::vector<uint8_t>* out, Opcode op, uint16_t status,
-                        uint64_t id, std::span<const uint8_t> payload) {
-  using namespace wire_internal;
+/// Grows `out` (a std::vector<uint8_t> or std::string) by one frame of
+/// `payload_len` payload bytes and returns a pointer to the frame's start.
+/// The caller writes the payload at kFrameHeaderBytes past it, then calls
+/// SealFrame — the way the server renders a response in place.
+template <typename Bytes>
+inline uint8_t* ReserveFrame(Bytes* out, size_t payload_len) {
   const size_t at = out->size();
-  out->resize(at + kFrameHeaderBytes + payload.size());
-  uint8_t* h = out->data() + at;
-  PutU32(h, kFrameMagic);
-  h[4] = kProtocolVersion;
-  h[5] = static_cast<uint8_t>(op);
-  PutU16(h + 6, status);
-  PutU64(h + 8, id);
-  PutU32(h + 16, static_cast<uint32_t>(payload.size()));
-  uint32_t crc = Crc32c({h, 20});
-  crc = Crc32c(payload, crc);
-  PutU32(h + 20, crc);
+  out->resize(at + kFrameHeaderBytes + payload_len);
+  return reinterpret_cast<uint8_t*>(out->data()) + at;
+}
+
+/// Writes the header of the frame at `frame`, whose `payload_len` payload
+/// bytes already follow it, CRC included.
+inline void SealFrame(uint8_t* frame, Opcode op, uint16_t status,
+                      uint64_t id, uint32_t payload_len) {
+  using namespace wire_internal;
+  PutU32(frame, kFrameMagic);
+  frame[4] = kProtocolVersion;
+  frame[5] = static_cast<uint8_t>(op);
+  PutU16(frame + 6, status);
+  PutU64(frame + 8, id);
+  PutU32(frame + 16, payload_len);
+  uint32_t crc = Crc32c({frame, 20});
+  crc = Crc32c({frame + kFrameHeaderBytes, payload_len}, crc);
+  PutU32(frame + 20, crc);
+}
+
+/// Appends one complete frame (header + payload) to `out`.
+template <typename Bytes>
+inline void AppendFrame(Bytes* out, Opcode op, uint16_t status, uint64_t id,
+                        std::span<const uint8_t> payload) {
+  uint8_t* frame = ReserveFrame(out, payload.size());
   if (!payload.empty()) {
-    std::memcpy(h + kFrameHeaderBytes, payload.data(), payload.size());
+    std::memcpy(frame + kFrameHeaderBytes, payload.data(), payload.size());
   }
+  SealFrame(frame, op, status, id, static_cast<uint32_t>(payload.size()));
 }
 
 /// Decodes the 24-byte header at `bytes` (must hold at least
@@ -227,11 +244,6 @@ class PayloadWriter {
     wire_internal::PutU64(out_->data() + at, v);
   }
   void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
-  void I64Span(std::span<const int64_t> values) {
-    const size_t at = out_->size();
-    out_->resize(at + values.size() * 8);
-    std::memcpy(out_->data() + at, values.data(), values.size() * 8);
-  }
 
  private:
   std::vector<uint8_t>* out_;

@@ -328,7 +328,8 @@ struct Conn {
   int fd = -1;
   Mode mode = Mode::kUnknown;
   std::vector<uint8_t> in;    // unparsed input bytes
-  std::string out;            // response bytes awaiting the socket
+  std::string out;            // response bytes; [out_sent, size) unsent
+  size_t out_sent = 0;        // send cursor into `out`
   std::deque<Request> queue;  // parsed, admitted, not yet dispatched
   bool closed = false;        // fd closed, conn detached from the map
   bool read_shut = false;     // peer sent FIN (or HTTP request complete)
@@ -341,6 +342,20 @@ struct Conn {
   std::mutex hand_mu;
   std::string handoff;  // worker-produced responses, pending pickup
   bool busy = false;    // a work item is executing (guarded by hand_mu)
+
+  /// Response bytes still owed to the socket.
+  size_t Unsent() const { return out.size() - out_sent; }
+
+  /// `out`, ready to append to: the sent prefix is dropped once it
+  /// outweighs the unsent tail, so a connection that never fully drains
+  /// still holds O(unsent) bytes and each byte moves at most once.
+  std::string& OutForAppend() {
+    if (out_sent > 0 && out_sent >= Unsent()) {
+      out.erase(0, out_sent);
+      out_sent = 0;
+    }
+    return out;
+  }
 };
 
 }  // namespace server_internal
@@ -542,7 +557,7 @@ class NeatsServer {
   }
 
   bool ConnIdle(const Conn& conn) {
-    if (!conn.queue.empty() || !conn.out.empty()) return false;
+    if (!conn.queue.empty() || conn.Unsent() > 0) return false;
     std::lock_guard<std::mutex> lk(
         const_cast<std::mutex&>(conn.hand_mu));
     return !conn.busy && conn.handoff.empty();
@@ -615,9 +630,9 @@ class NeatsServer {
   void UpdateInterest(const std::shared_ptr<Conn>& conn, bool draining) {
     const bool read =
         !draining && !conn->read_shut &&
-        conn->out.size() < options_.max_frame_bytes * 2 &&
+        conn->Unsent() < options_.max_frame_bytes * 2 &&
         conn->in.size() < options_.max_frame_bytes + kFrameHeaderBytes;
-    const bool write = !conn->out.empty();
+    const bool write = conn->Unsent() > 0;
     if (read != conn->want_read || write != conn->want_write) {
       conn->want_read = read;
       conn->want_write = write;
@@ -897,7 +912,7 @@ class NeatsServer {
     if (end == std::string_view::npos) {
       if (conn->in.size() > 8192) {
         obs_->registry.Count(obs_->c_bad_frames);
-        conn->out += "HTTP/1.0 400 Bad Request\r\n\r\n";
+        conn->OutForAppend() += "HTTP/1.0 400 Bad Request\r\n\r\n";
         conn->close_after_drain = true;
         conn->read_shut = true;
         FlushOut(conn);
@@ -914,7 +929,7 @@ class NeatsServer {
                           request_line.rfind("GET /metrics", 0) == 0 ||
                           request_line.rfind("GET / ", 0) == 0;
     if (!is_stats) {
-      conn->out +=
+      conn->OutForAppend() +=
           "HTTP/1.0 404 Not Found\r\nContent-Length: 0\r\n"
           "Connection: close\r\n\r\n";
       FlushOut(conn);
@@ -1029,10 +1044,13 @@ class NeatsServer {
     }
   }
 
+  /// Sends from the cursor until the socket would block; a partial send
+  /// only advances `out_sent`, and a fully sent buffer is cleared (its
+  /// capacity kept for the next response).
   void FlushOut(const std::shared_ptr<Conn>& conn) {
-    while (!conn->out.empty()) {
-      const ssize_t n = ::send(conn->fd, conn->out.data(),
-                               conn->out.size(), MSG_NOSIGNAL);
+    while (conn->Unsent() > 0) {
+      const ssize_t n = ::send(conn->fd, conn->out.data() + conn->out_sent,
+                               conn->Unsent(), MSG_NOSIGNAL);
       if (n < 0) {
         if (errno == EINTR) continue;
         if (errno == EAGAIN || errno == EWOULDBLOCK) return;
@@ -1040,8 +1058,10 @@ class NeatsServer {
         return;
       }
       obs_->registry.Count(obs_->c_bytes_out, static_cast<uint64_t>(n));
-      conn->out.erase(0, static_cast<size_t>(n));
+      conn->out_sent += static_cast<size_t>(n);
     }
+    conn->out.clear();
+    conn->out_sent = 0;
   }
 
   void HandleCompletions(uint64_t now, bool draining) {
@@ -1053,8 +1073,15 @@ class NeatsServer {
     for (const std::shared_ptr<Conn>& conn : done) {
       if (conn->closed) continue;
       {
+        // Take the worker's buffer whole when nothing is pending ahead of
+        // it; append only behind unsent bytes.
+        std::string& out = conn->OutForAppend();
         std::lock_guard<std::mutex> lk(conn->hand_mu);
-        conn->out += conn->handoff;
+        if (out.empty()) {
+          out.swap(conn->handoff);
+        } else {
+          out += conn->handoff;
+        }
         conn->handoff.clear();
       }
       conn->last_activity = now;
@@ -1070,6 +1097,9 @@ class NeatsServer {
 
   void ExecuteItem(const std::shared_ptr<Conn>& conn, Conn::Mode mode,
                    std::vector<Request>& items) {
+    // A fresh buffer per item: a response rendered in place starts at its
+    // offset 0, which keeps the payload after the 24-byte header
+    // int64-aligned (AppendValuesResponse).
     std::string out;
     if (items.size() > 1) {
       ExecuteCoalesced(mode, items, &out);
@@ -1081,8 +1111,14 @@ class NeatsServer {
           obs::NowNs() - t0);
     }
     {
+      // Swap, not copy, when the IO thread has picked up everything before
+      // this item; whatever buffer comes back is freed outside the lock.
       std::lock_guard<std::mutex> lk(conn->hand_mu);
-      conn->handoff += out;
+      if (conn->handoff.empty()) {
+        conn->handoff.swap(out);
+      } else {
+        conn->handoff += out;
+      }
       conn->busy = false;
     }
     inflight_.fetch_sub(items.size(), std::memory_order_relaxed);
@@ -1146,6 +1182,7 @@ class NeatsServer {
   }
 
   void ExecuteOne(Conn::Mode mode, const Request& req, std::string* out) {
+    const size_t start = out->size();
     try {
       switch (req.op) {
         case Opcode::kPing: {
@@ -1205,9 +1242,12 @@ class NeatsServer {
               return;
             }
           }
-          std::vector<int64_t> values(req.idx.size());
-          store_.AccessBatch(req.idx, values);
-          AppendValuesResponse(mode, req.op, req.id, values, out);
+          AppendValuesResponse(mode, req.op, req.id, req.idx.size(),
+                               [&](int64_t* values) {
+                                 store_.AccessBatch(
+                                     req.idx, {values, req.idx.size()});
+                               },
+                               out);
           return;
         }
         case Opcode::kDecompressRange:
@@ -1241,25 +1281,30 @@ class NeatsServer {
                                 out, /*sum=*/true);
             return;
           }
-          std::vector<int64_t> values(total);
-          if (req.op == Opcode::kDecompressRange) {
-            store_.DecompressRange(req.a, req.b, values.data());
-          } else {
-            store_.DecompressRanges(ranges, values.data());
-          }
-          AppendValuesResponse(mode, req.op, req.id, values, out);
+          AppendValuesResponse(mode, req.op, req.id, total,
+                               [&](int64_t* values) {
+                                 if (req.op == Opcode::kDecompressRange) {
+                                   store_.DecompressRange(req.a, req.b,
+                                                          values);
+                                 } else {
+                                   store_.DecompressRanges(ranges, values);
+                                 }
+                               },
+                               out);
           return;
         }
       }
       AppendError(mode, req.op, req.id, WireStatus::kBadRequest,
                   "unknown opcode", out);
     } catch (const Error& e) {
+      out->resize(start);  // drop a frame reserved for in-place rendering
       AppendError(mode, req.op, req.id,
                   e.code() == StatusCode::kUnavailable
                       ? WireStatus::kUnavailable
                       : WireStatus::kInternal,
                   e.what(), out);
     } catch (const std::exception& e) {
+      out->resize(start);
       AppendError(mode, req.op, req.id, WireStatus::kInternal, e.what(),
                   out);
     }
@@ -1274,11 +1319,8 @@ class NeatsServer {
                 std::span<const uint8_t> payload,
                 const std::string& json_fields, std::string* out) {
     if (mode == Conn::Mode::kBinary) {
-      std::vector<uint8_t> frame;
-      AppendFrame(&frame, op, static_cast<uint16_t>(WireStatus::kOk), id,
+      AppendFrame(out, op, static_cast<uint16_t>(WireStatus::kOk), id,
                   payload);
-      out->append(reinterpret_cast<const char*>(frame.data()),
-                  frame.size());
       return;
     }
     *out += "{\"id\": " + std::to_string(id) + ", \"ok\": true";
@@ -1289,9 +1331,8 @@ class NeatsServer {
   void AppendValueResponse(Conn::Mode mode, uint64_t id, int64_t value,
                            std::string* out, bool sum = false) {
     if (mode == Conn::Mode::kBinary) {
-      std::vector<uint8_t> payload;
-      PayloadWriter w(&payload);
-      w.I64(value);
+      uint8_t payload[8];
+      wire_internal::PutU64(payload, static_cast<uint64_t>(value));
       AppendOk(mode, sum ? Opcode::kRangeSum : Opcode::kAccess, id, payload,
                "", out);
       return;
@@ -1302,16 +1343,26 @@ class NeatsServer {
              out);
   }
 
+  /// A kOk response of `count` int64 values that `fill(int64_t* dst)`
+  /// writes. Binary: the frame is reserved in `out` and `fill` decodes
+  /// straight into its payload (little-endian int64s are the wire bytes),
+  /// then the header and CRC are sealed in place — no intermediate copy.
+  /// If `fill` throws, the reserved frame stays; ExecuteOne truncates it.
+  template <typename Fill>
   void AppendValuesResponse(Conn::Mode mode, Opcode op, uint64_t id,
-                            std::span<const int64_t> values,
-                            std::string* out) {
+                            size_t count, Fill&& fill, std::string* out) {
     if (mode == Conn::Mode::kBinary) {
-      std::vector<uint8_t> payload;
-      PayloadWriter w(&payload);
-      w.I64Span(values);
-      AppendOk(mode, op, id, payload, "", out);
+      uint8_t* frame = ReserveFrame(out, count * 8);
+      auto* values = reinterpret_cast<int64_t*>(frame + kFrameHeaderBytes);
+      NEATS_DCHECK(reinterpret_cast<uintptr_t>(values) % alignof(int64_t) ==
+                   0);
+      fill(values);
+      SealFrame(frame, op, static_cast<uint16_t>(WireStatus::kOk), id,
+                static_cast<uint32_t>(count * 8));
       return;
     }
+    std::vector<int64_t> values(count);
+    fill(values.data());
     std::string field = "\"values\": [";
     for (size_t i = 0; i < values.size(); ++i) {
       if (i > 0) field += ", ";
@@ -1325,12 +1376,9 @@ class NeatsServer {
                    const std::string& message, std::string* out) {
     obs_->registry.Count(obs_->c_errors);
     if (mode == Conn::Mode::kBinary) {
-      std::vector<uint8_t> frame;
-      AppendFrame(&frame, op, static_cast<uint16_t>(s), id,
+      AppendFrame(out, op, static_cast<uint16_t>(s), id,
                   {reinterpret_cast<const uint8_t*>(message.data()),
                    message.size()});
-      out->append(reinterpret_cast<const char*>(frame.data()),
-                  frame.size());
       return;
     }
     if (mode == Conn::Mode::kHttp) {
@@ -1352,7 +1400,7 @@ class NeatsServer {
                  WireStatus s, const std::string& message) {
     Conn::Mode mode = conn->mode;
     if (mode == Conn::Mode::kUnknown) mode = Conn::Mode::kBinary;
-    AppendError(mode, op, id, s, message, &conn->out);
+    AppendError(mode, op, id, s, message, &conn->OutForAppend());
   }
 
   const NeatsStore& store_;

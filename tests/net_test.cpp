@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -57,6 +59,22 @@ TEST(Protocol, CrcCatchesEveryBitFlipPosition) {
   }
 }
 
+TEST(Protocol, GoldenFrameBytes) {
+  std::vector<uint8_t> payload;
+  PayloadWriter(&payload).U64(42);
+  std::vector<uint8_t> frame;
+  AppendFrame(&frame, Opcode::kAccess, 0, 0x0102030405060708u, payload);
+  const std::vector<uint8_t> want = {
+      'N', 'E', 'T', 'S',                              // magic
+      0x01, 0x02, 0x00, 0x00,                          // version, op, status
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // id
+      0x08, 0x00, 0x00, 0x00,                          // payload length
+      0xC6, 0x78, 0xE8, 0xBC,                          // CRC32C
+      0x2A, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // payload
+  };
+  EXPECT_EQ(frame, want);
+}
+
 TEST(Protocol, PayloadReaderBoundsChecks) {
   std::vector<uint8_t> bytes(12, 0xAB);
   PayloadReader r(bytes);
@@ -103,17 +121,25 @@ class NetTest : public ::testing::Test {
     return static_cast<int64_t>((i * 2654435761u) % 100003u) - 50000;
   }
 
-  void StartServer(NeatsServerOptions options = {},
-                   uint64_t initial = kInitial) {
+  static std::unique_ptr<NeatsStore> MakeStore(uint64_t initial) {
     NeatsStoreOptions store_options;
     store_options.shard_size = 4096;  // several sealed shards at this size
     store_options.log_sink = obs::NullLogSink();
-    store_ = std::make_unique<NeatsStore>(store_options);
+    auto store = std::make_unique<NeatsStore>(store_options);
     std::vector<int64_t> values;
     values.reserve(initial);
     for (uint64_t i = 0; i < initial; ++i) values.push_back(Truth(i));
-    store_->Append(values);
-    server_ = std::make_unique<NeatsServer>(*store_, options);
+    store->Append(values);
+    return store;
+  }
+
+  void StartServer(NeatsServerOptions options = {}) {
+    store_ = MakeStore(kInitial);
+    Serve(*store_, options);
+  }
+
+  void Serve(const NeatsStore& store, NeatsServerOptions options = {}) {
+    server_ = std::make_unique<NeatsServer>(store, options);
     server_->Start();
   }
 
@@ -124,6 +150,30 @@ class NetTest : public ::testing::Test {
   void ExpectServerAlive() {
     Client c = Connect();
     EXPECT_EQ(c.Access(17), Truth(17));
+  }
+
+  /// Checks `got` against Truth over `ranges`, concatenated in order.
+  static ::testing::AssertionResult MatchesTruth(std::span<const int64_t> got,
+                                          std::span<const IndexRange> ranges) {
+    size_t at = 0;
+    for (const IndexRange& r : ranges) {
+      for (uint64_t k = 0; k < r.len; ++k, ++at) {
+        if (at >= got.size()) {
+          return ::testing::AssertionFailure()
+                 << "response ends at value " << at;
+        }
+        if (got[at] != Truth(r.from + k)) {
+          return ::testing::AssertionFailure()
+                 << "value " << at << " (index " << r.from + k << ") is "
+                 << got[at] << ", want " << Truth(r.from + k);
+        }
+      }
+    }
+    if (at != got.size()) {
+      return ::testing::AssertionFailure()
+             << got.size() - at << " values past the expected end";
+    }
+    return ::testing::AssertionSuccess();
   }
 
   std::unique_ptr<NeatsStore> store_;
@@ -352,6 +402,167 @@ TEST_F(NetTest, PollBackendServesTheSameProtocol) {
   std::vector<uint64_t> idx = {1, 2, 3};
   EXPECT_EQ(c.AccessBatch(idx).size(), 3u);
   EXPECT_EQ(c.Size(), kInitial);
+  ExpectServerAlive();
+}
+
+// --- Large responses (past one socket buffer) ----------------------------
+
+/// Store size for the large-response cases. kLargeRange values are 1.1 MB
+/// on the wire, more than the default loopback socket buffers hold, so a
+/// response can need several sends.
+constexpr uint64_t kLargeStore = 150000;
+constexpr uint64_t kLargeRange = 140000;
+
+/// The large-response cases share one read-only store: bulk-loading it is
+/// the slow part, and none of them appends.
+class NetLargeTest : public NetTest {
+ protected:
+  static void SetUpTestSuite() { large_ = MakeStore(kLargeStore).release(); }
+  static void TearDownTestSuite() {
+    delete large_;
+    large_ = nullptr;
+  }
+
+  void SetUp() override { Serve(*large_); }
+
+  static NeatsStore* large_;
+};
+
+NeatsStore* NetLargeTest::large_ = nullptr;
+
+std::vector<int64_t> ValuesOf(const Client::Response& r) {
+  std::vector<int64_t> values;
+  PayloadReader reader(r.payload);
+  reader.I64Vec(r.payload.size() / 8, &values);
+  return values;
+}
+
+std::vector<uint8_t> RangePayload(uint64_t from, uint64_t len) {
+  std::vector<uint8_t> payload;
+  PayloadWriter w(&payload);
+  w.U64(from);
+  w.U64(len);
+  return payload;
+}
+
+TEST_F(NetLargeTest, LargeRangeAndBatchRoundTrip) {
+  Client c = Connect();
+  const IndexRange range{1000, kLargeRange};
+  EXPECT_TRUE(MatchesTruth(c.DecompressRange(range.from, range.len),
+                           {&range, 1}));
+
+  std::vector<uint64_t> idx(20000);
+  for (size_t k = 0; k < idx.size(); ++k) idx[k] = k * 7919 % kLargeStore;
+  const std::vector<int64_t> got = c.AccessBatch(idx);
+  ASSERT_EQ(got.size(), idx.size());
+  for (size_t k = 0; k < idx.size(); ++k) {
+    ASSERT_EQ(got[k], Truth(idx[k])) << "probe " << k;
+  }
+}
+
+TEST_F(NetLargeTest, LargeMultiRangeRoundTrips) {
+  Client c = Connect();
+  const std::vector<IndexRange> ranges = {
+      {0, 70000}, {kLargeStore - 1000, 1000}, {4095, 65000}, {17, 0}};
+  EXPECT_TRUE(MatchesTruth(c.DecompressRanges(ranges), ranges));
+}
+
+TEST_F(NetLargeTest, PipelinedLargeRangesThenAccessesAnswerInOrder) {
+  Client c = Connect();
+  const IndexRange ranges[] = {{0, kLargeRange}, {9000, kLargeRange}};
+  std::vector<uint64_t> ids;
+  for (const IndexRange& r : ranges) {
+    ids.push_back(
+        c.SendRequest(Opcode::kDecompressRange, RangePayload(r.from, r.len)));
+  }
+  constexpr uint64_t kProbes = 16;
+  for (uint64_t k = 0; k < kProbes; ++k) {
+    std::vector<uint8_t> payload;
+    PayloadWriter(&payload).U64(k * 9001 % kLargeStore);
+    ids.push_back(c.SendRequest(Opcode::kAccess, payload));
+  }
+  for (size_t k = 0; k < ids.size(); ++k) {
+    const Client::Response r = c.ReadResponse();
+    ASSERT_EQ(r.id, ids[k]) << "responses must keep request order";
+    ASSERT_EQ(r.status, WireStatus::kOk);
+    if (k < 2) {
+      EXPECT_TRUE(MatchesTruth(ValuesOf(r), {&ranges[k], 1}));
+    } else {
+      const std::vector<int64_t> v = ValuesOf(r);
+      ASSERT_EQ(v.size(), 1u);
+      EXPECT_EQ(v[0], Truth((k - 2) * 9001 % kLargeStore));
+    }
+  }
+}
+
+TEST_F(NetLargeTest, SlowReaderResumesAcrossBackpressure) {
+  // A small receive buffer, set before connecting so the window stays
+  // small: once the server's send buffer fills, its sends meet EAGAIN
+  // and the output backs up until the reader wakes.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const int rcvbuf = 4096;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf)),
+            0);
+  const sockaddr_in addr = MakeAddr("127.0.0.1", server_->port());
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+
+  // 12 responses of 1.1 MB: more than a loopback send buffer autotunes
+  // to (4 MiB by default on Linux), so the server has to hold a backlog.
+  constexpr uint64_t kRanges = 12;
+  std::vector<IndexRange> ranges;
+  std::vector<uint8_t> burst;
+  for (uint64_t k = 0; k < kRanges; ++k) {
+    ranges.push_back({k * 797 % (kLargeStore - kLargeRange), kLargeRange});
+    AppendFrame(&burst, Opcode::kDecompressRange, 0, /*id=*/k,
+                RangePayload(ranges[k].from, ranges[k].len));
+  }
+  std::vector<uint8_t> probe;
+  PayloadWriter(&probe).U64(77);
+  AppendFrame(&burst, Opcode::kAccess, 0, /*id=*/kRanges, probe);
+  SendAll(fd, burst);
+
+  // Let every range render while nothing is read, then confirm the
+  // server is holding a backlog: it has not sent everything it owes.
+  auto executed = [&] {
+    const obs::MetricsSnapshot snap = server_->StatsSnapshot();
+    const auto* h = snap.histogram("op.range");
+    return h != nullptr ? h->count() : 0;
+  };
+  for (int wait = 0; wait < 5000 && executed() < kRanges; ++wait) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(executed(), kRanges);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const uint64_t owed = kRanges * (kFrameHeaderBytes + kLargeRange * 8);
+  const obs::MetricsSnapshot snap = server_->StatsSnapshot();
+  const uint64_t* sent = snap.counter("bytes.out");
+  ASSERT_NE(sent, nullptr);
+  EXPECT_LT(*sent, owed) << "the server's output never backed up";
+
+  for (uint64_t k = 0; k <= kRanges; ++k) {
+    uint8_t header[kFrameHeaderBytes];
+    ASSERT_TRUE(RecvAll(fd, header));
+    FrameHeader h;
+    ASSERT_TRUE(DecodeFrameHeader(header, &h));
+    ASSERT_EQ(h.id, k) << "responses must keep request order";
+    ASSERT_EQ(h.status, 0u);
+    std::vector<uint8_t> payload(h.payload_len);
+    ASSERT_TRUE(RecvAll(fd, payload));
+    ASSERT_TRUE(VerifyFrameCrc(header, payload));
+    PayloadReader r(payload);
+    std::vector<int64_t> values;
+    r.I64Vec(payload.size() / 8, &values);
+    if (k < kRanges) {
+      EXPECT_TRUE(MatchesTruth(values, {&ranges[k], 1})) << "range " << k;
+    } else {
+      ASSERT_EQ(values.size(), 1u);
+      EXPECT_EQ(values[0], Truth(77));
+    }
+  }
+  ::close(fd);
   ExpectServerAlive();
 }
 
