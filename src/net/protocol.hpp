@@ -1,12 +1,14 @@
 // The wire protocol of the neats serving front-end (src/net/server.hpp).
 //
-// One port, three self-announcing dialects, distinguished by the first byte
+// One port, two self-announcing dialects, distinguished by the first byte
 // a connection sends:
 //
-//   'N' (0x4E)  binary frames — the production protocol (below)
-//   '{' (0x7B)  line-delimited JSON — same operations, human-debuggable
+//   'N' (0x4E)  binary frames — the protocol (below)
 //   'G' (0x47)  "GET ..." — a minimal HTTP/1.0 responder for the stats
 //               route, so `curl http://host:port/stats` works
+//
+// Any other first byte is answered with one binary kBadRequest frame
+// ("unrecognized protocol") and the connection is closed.
 //
 // Binary framing: a 24-byte little-endian header followed by the payload,
 // the whole frame covered by a CRC32C (io/checksum.hpp — the same
@@ -36,7 +38,6 @@
 
 #include <cerrno>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <span>
@@ -304,9 +305,10 @@ class PayloadReader {
 };
 
 // --------------------------------------------------------------------------
-// Minimal JSON for the line-delimited debug dialect. Parses the subset the
-// protocol needs (objects, arrays, numbers, strings, true/false/null) with
-// a hard depth limit; anything else is a clean parse failure, never UB.
+// Minimal JSON reader for the stats document (the kStats payload and the
+// HTTP /stats body) — neats_loadgen and the tests parse it with this.
+// Handles objects, arrays, numbers, strings, true/false/null with a hard
+// depth limit; anything else is a clean parse failure, never UB.
 // --------------------------------------------------------------------------
 
 struct JsonValue {
@@ -327,14 +329,6 @@ struct JsonValue {
       if (k == key) return &v;
     }
     return nullptr;
-  }
-
-  /// The value as a uint64 index/length; false when not an integral
-  /// non-negative number.
-  bool AsU64(uint64_t* out) const {
-    if (kind != Kind::kNumber || !integral || integer < 0) return false;
-    *out = static_cast<uint64_t>(integer);
-    return true;
   }
 };
 
@@ -524,25 +518,6 @@ inline bool ParseJson(std::string_view text, JsonValue* out) {
   if (!p.ParseValue(out, 0)) return false;
   p.SkipWs();
   return p.pos == p.text.size();
-}
-
-/// Appends `s` as a quoted JSON string (escaping quotes, backslashes, and
-/// control characters).
-inline void AppendJsonString(std::string* out, std::string_view s) {
-  out->push_back('"');
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out->append(buf);
-    } else {
-      out->push_back(c);
-    }
-  }
-  out->push_back('"');
 }
 
 }  // namespace neats::net

@@ -4,8 +4,8 @@
 //
 // Shape (docs/ARCHITECTURE.md, "Network layer"):
 //
-//   accept ─▶ [ IO thread: epoll/poll event loop ]
-//                │  nonblocking reads ─▶ frame/line parser ─▶ per-conn
+//   accept ─▶ [ IO thread: epoll event loop ]
+//                │  nonblocking reads ─▶ frame parser ─▶ per-conn
 //                │  request queue (admission gate sheds kOverloaded here)
 //                │
 //                │  dispatch: one work item per connection at a time —
@@ -31,25 +31,21 @@
 // max-inflight admission shedding typed kOverloaded responses instead of
 // queueing unboundedly, idle-connection timeouts, graceful drain (stop
 // accepting, finish queued work, flush, close), and malformed-frame
-// hardening — oversized length words, bad CRCs, truncations, hostile JSON
-// all produce a typed error or a clean close, never a crash
+// hardening — oversized length words, bad CRCs, truncations, unknown
+// openings all produce a typed error or a clean close, never a crash
 // (tests/net_test.cpp sweeps every truncation point and clobbers every
 // header byte).
 //
-// Dialects: binary frames (src/net/protocol.hpp), line-delimited JSON on
-// the same port (first byte '{'), and a minimal HTTP GET responder so
-// `curl http://host:port/stats` returns the stats document — the
-// observability layer's StatsSnapshot()/MetricsJson wired to a route.
+// Dialects: binary frames (src/net/protocol.hpp) and, on the same port, a
+// minimal HTTP GET responder so `curl http://host:port/stats` returns the
+// stats document — the observability layer's StatsSnapshot()/MetricsJson
+// wired to a route.
 
 #pragma once
 
-#include <poll.h>
-#include <unistd.h>
-#ifdef __linux__
 #include <sys/epoll.h>
-#endif
+#include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -98,7 +94,7 @@ struct NeatsServerOptions {
 
   /// Frame payload cap, both directions: a request announcing more is
   /// rejected and the connection closed; a query whose response would
-  /// exceed it gets kBadRequest. Also caps a JSON line.
+  /// exceed it gets kBadRequest.
   size_t max_frame_bytes = size_t{16} << 20;
 
   /// Admission gate: total requests queued + executing across every
@@ -110,17 +106,6 @@ struct NeatsServerOptions {
   /// monopolize the admission budget); over it, requests shed kOverloaded.
   size_t max_queued_per_conn = 512;
 
-  /// Access-coalescing window in microseconds: when a connection's queue
-  /// holds only Access requests and fewer than coalesce_max_batch of them,
-  /// dispatch waits up to this long for more probes to arrive so they ride
-  /// one AccessBatch call. 0 = dispatch as soon as a worker is free
-  /// (pipelined probes still coalesce naturally — everything that arrived
-  /// while the previous item executed forms the next batch).
-  uint32_t coalesce_window_us = 0;
-
-  /// Largest coalesced Access run fed to one store AccessBatch call.
-  uint32_t coalesce_max_batch = 512;
-
   /// Connections idle (no requests in flight, nothing buffered) longer
   /// than this are closed. 0 = never.
   uint32_t idle_timeout_ms = 60000;
@@ -128,17 +113,14 @@ struct NeatsServerOptions {
   /// Graceful-drain budget: after RequestStop(), queued work gets this
   /// long to finish and flush before remaining connections are closed.
   uint32_t drain_timeout_ms = 5000;
-
-  /// Force the poll(2) backend (the epoll backend is default on Linux).
-  /// The fallback is always compiled; this knob exists so tests cover it.
-  bool use_poll = false;
 };
 
 namespace server_internal {
 
-/// Readiness poller with two backends behind one interface: epoll on
-/// Linux, poll(2) everywhere (and on Linux when forced, so the fallback
-/// stays tested). Level-triggered in both.
+/// Largest coalesced Access run fed to one store AccessBatch call.
+inline constexpr size_t kCoalesceMaxBatch = 512;
+
+/// Level-triggered epoll readiness poller.
 class Poller {
  public:
   struct Event {
@@ -148,125 +130,60 @@ class Poller {
     bool hangup = false;
   };
 
-  explicit Poller(bool use_poll) : use_poll_(use_poll) {
-#ifdef __linux__
-    if (!use_poll_) {
-      ep_ = ::epoll_create1(0);
-      if (ep_ < 0) ThrowErrno("epoll_create1");
-    }
-#else
-    use_poll_ = true;
-#endif
+  Poller() {
+    ep_ = ::epoll_create1(0);
+    if (ep_ < 0) ThrowErrno("epoll_create1");
   }
 
   Poller(const Poller&) = delete;
   Poller& operator=(const Poller&) = delete;
 
-  ~Poller() {
-    if (ep_ >= 0) ::close(ep_);
-  }
+  ~Poller() { ::close(ep_); }
 
   void Add(int fd, bool want_read, bool want_write) {
-#ifdef __linux__
-    if (!use_poll_) {
-      epoll_event ev = MakeEpoll(fd, want_read, want_write);
-      if (::epoll_ctl(ep_, EPOLL_CTL_ADD, fd, &ev) < 0) {
-        ThrowErrno("epoll_ctl(ADD)");
-      }
-      return;
+    epoll_event ev = MakeEvent(fd, want_read, want_write);
+    if (::epoll_ctl(ep_, EPOLL_CTL_ADD, fd, &ev) < 0) {
+      ThrowErrno("epoll_ctl(ADD)");
     }
-#endif
-    pfds_.push_back({fd, Events(want_read, want_write), 0});
   }
 
   void Update(int fd, bool want_read, bool want_write) {
-#ifdef __linux__
-    if (!use_poll_) {
-      epoll_event ev = MakeEpoll(fd, want_read, want_write);
-      if (::epoll_ctl(ep_, EPOLL_CTL_MOD, fd, &ev) < 0) {
-        ThrowErrno("epoll_ctl(MOD)");
-      }
-      return;
-    }
-#endif
-    for (pollfd& p : pfds_) {
-      if (p.fd == fd) {
-        p.events = Events(want_read, want_write);
-        return;
-      }
+    epoll_event ev = MakeEvent(fd, want_read, want_write);
+    if (::epoll_ctl(ep_, EPOLL_CTL_MOD, fd, &ev) < 0) {
+      ThrowErrno("epoll_ctl(MOD)");
     }
   }
 
-  void Remove(int fd) {
-#ifdef __linux__
-    if (!use_poll_) {
-      ::epoll_ctl(ep_, EPOLL_CTL_DEL, fd, nullptr);
-      return;
-    }
-#endif
-    for (size_t i = 0; i < pfds_.size(); ++i) {
-      if (pfds_[i].fd == fd) {
-        pfds_[i] = pfds_.back();
-        pfds_.pop_back();
-        return;
-      }
-    }
-  }
+  void Remove(int fd) { ::epoll_ctl(ep_, EPOLL_CTL_DEL, fd, nullptr); }
 
   /// Waits up to timeout_ms (-1 = forever) and appends ready fds to *out.
   void Wait(std::vector<Event>* out, int timeout_ms) {
     out->clear();
-#ifdef __linux__
-    if (!use_poll_) {
-      epoll_event evs[64];
-      const int n = ::epoll_wait(ep_, evs, 64, timeout_ms);
-      if (n < 0) {
-        if (errno == EINTR) return;
-        ThrowErrno("epoll_wait");
-      }
-      for (int i = 0; i < n; ++i) {
-        Event e;
-        e.fd = evs[i].data.fd;
-        e.readable = (evs[i].events & EPOLLIN) != 0;
-        e.writable = (evs[i].events & EPOLLOUT) != 0;
-        e.hangup = (evs[i].events & (EPOLLHUP | EPOLLERR)) != 0;
-        out->push_back(e);
-      }
-      return;
-    }
-#endif
-    const int n = ::poll(pfds_.data(), pfds_.size(), timeout_ms);
+    epoll_event evs[64];
+    const int n = ::epoll_wait(ep_, evs, 64, timeout_ms);
     if (n < 0) {
       if (errno == EINTR) return;
-      ThrowErrno("poll");
+      ThrowErrno("epoll_wait");
     }
-    for (const pollfd& p : pfds_) {
-      if (p.revents == 0) continue;
+    for (int i = 0; i < n; ++i) {
       Event e;
-      e.fd = p.fd;
-      e.readable = (p.revents & POLLIN) != 0;
-      e.writable = (p.revents & POLLOUT) != 0;
-      e.hangup = (p.revents & (POLLHUP | POLLERR | POLLNVAL)) != 0;
+      e.fd = evs[i].data.fd;
+      e.readable = (evs[i].events & EPOLLIN) != 0;
+      e.writable = (evs[i].events & EPOLLOUT) != 0;
+      e.hangup = (evs[i].events & (EPOLLHUP | EPOLLERR)) != 0;
       out->push_back(e);
     }
   }
 
  private:
-  static short Events(bool r, bool w) {
-    return static_cast<short>((r ? POLLIN : 0) | (w ? POLLOUT : 0));
-  }
-#ifdef __linux__
-  static epoll_event MakeEpoll(int fd, bool r, bool w) {
+  static epoll_event MakeEvent(int fd, bool r, bool w) {
     epoll_event ev{};
     ev.events = (r ? EPOLLIN : 0u) | (w ? EPOLLOUT : 0u);
     ev.data.fd = fd;
     return ev;
   }
-#endif
 
-  bool use_poll_;
   int ep_ = -1;
-  std::vector<pollfd> pfds_;
 };
 
 /// The server's wiring into the observability layer — its own registry
@@ -276,8 +193,7 @@ struct ServerObs {
   obs::MetricsRegistry registry;
   obs::CounterId c_accepted, c_closed, c_rejected, c_idle_closed,
       c_requests, c_errors, c_shed, c_bytes_in, c_bytes_out, c_bad_frames,
-      c_json_requests, c_http_requests, c_coalesced_batches,
-      c_coalesced_probes;
+      c_http_requests, c_coalesced_batches, c_coalesced_probes;
   obs::CounterId c_op[kMaxOpcode + 1];
   obs::GaugeId g_connections, g_inflight;
   obs::HistogramId h_op[kMaxOpcode + 1];
@@ -294,7 +210,6 @@ struct ServerObs {
     c_bytes_in = registry.AddCounter("bytes.in");
     c_bytes_out = registry.AddCounter("bytes.out");
     c_bad_frames = registry.AddCounter("frames.malformed");
-    c_json_requests = registry.AddCounter("req.json");
     c_http_requests = registry.AddCounter("req.http");
     c_coalesced_batches = registry.AddCounter("coalesce.batches");
     c_coalesced_probes = registry.AddCounter("coalesce.probes");
@@ -310,7 +225,7 @@ struct ServerObs {
   }
 };
 
-/// One parsed request, normalized across the binary and JSON dialects.
+/// One parsed request (a binary frame, or the HTTP stats route's kStats).
 struct Request {
   Opcode op = Opcode::kPing;
   uint64_t id = 0;
@@ -323,7 +238,7 @@ struct Request {
 /// One connection. The IO thread owns everything except `handoff`/`busy`,
 /// which carry worker results back under `hand_mu`.
 struct Conn {
-  enum class Mode { kUnknown, kBinary, kJson, kHttp };
+  enum class Mode { kUnknown, kBinary, kHttp };
 
   int fd = -1;
   Mode mode = Mode::kUnknown;
@@ -337,7 +252,6 @@ struct Conn {
   bool want_read = true;      // cached poller interest
   bool want_write = false;
   uint64_t last_activity = 0;
-  uint64_t defer_since = 0;   // coalesce-window start (0 = not deferring)
 
   std::mutex hand_mu;
   std::string handoff;  // worker-produced responses, pending pickup
@@ -380,7 +294,6 @@ class NeatsServer {
         workers_(std::make_unique<ThreadPool>(options_.worker_threads + 1)) {
     NEATS_REQUIRE(options_.max_frame_bytes >= 64,
                   "max_frame_bytes too small to carry any request");
-    if (options_.coalesce_max_batch == 0) options_.coalesce_max_batch = 1;
   }
 
   NeatsServer(const NeatsServer&) = delete;
@@ -449,9 +362,9 @@ class NeatsServer {
     return ob.registry.Snapshot();
   }
 
-  /// The stats document the kStats opcode, the JSON dialect, and the HTTP
-  /// route all serve: {"server": <server metrics>, "store": <store
-  /// metrics>} in the obs::MetricsJson schema.
+  /// The stats document the kStats opcode and the HTTP route both serve:
+  /// {"server": <server metrics>, "store": <store metrics>} in the
+  /// obs::MetricsJson schema.
   std::string StatsJson() const {
     std::string out = "{\n\"server\":\n";
     out += obs::MetricsJson(StatsSnapshot());
@@ -465,7 +378,7 @@ class NeatsServer {
   // --- IO loop -------------------------------------------------------------
 
   void IoLoop() {
-    Poller poller(options_.use_poll);
+    Poller poller;
     poller_ = &poller;
     poller.Add(listen_fd_, /*read=*/true, /*write=*/false);
     poller.Add(wake_r_, /*read=*/true, /*write=*/false);
@@ -474,8 +387,7 @@ class NeatsServer {
     uint64_t drain_deadline = 0;
     bool draining = false;
     while (true) {
-      const bool any_deferred = deferred_ > 0;
-      poller.Wait(&events, any_deferred ? 1 : 50);
+      poller.Wait(&events, 50);
       const uint64_t now = obs::NowNs();
       for (const Poller::Event& ev : events) {
         if (ev.fd == wake_r_) {
@@ -501,7 +413,7 @@ class NeatsServer {
         if (conn->closed) continue;
         if (ev.writable) FlushOut(conn);
         if (conn->closed) continue;
-        TryDispatch(conn, now);
+        TryDispatch(conn);
         MaybeFinish(conn);
         if (!conn->closed) UpdateInterest(conn, draining);
       }
@@ -515,16 +427,6 @@ class NeatsServer {
         listen_fd_ = -1;
         // Stop reading everywhere; queued work keeps executing.
         for (auto& [fd, conn] : conns_) UpdateInterest(conn, draining);
-      }
-      if (deferred_ > 0) {
-        // Re-visit coalesce-deferred connections; their window may be up
-        // (or draining flushes them immediately).
-        for (auto& [fd, conn] : conns_) {
-          if (conn->defer_since != 0) {
-            TryDispatch(conn, draining ? ~uint64_t{0} : now);
-            if (!conn->closed) UpdateInterest(conn, draining);
-          }
-        }
       }
       if (draining) {
         bool all_idle = true;
@@ -619,10 +521,6 @@ class NeatsServer {
       inflight_.fetch_sub(conn->queue.size(), std::memory_order_relaxed);
       conn->queue.clear();
     }
-    if (conn->defer_since != 0) {
-      conn->defer_since = 0;
-      --deferred_;
-    }
     open_conns_.fetch_sub(1, std::memory_order_relaxed);
     obs_->registry.Count(obs_->c_closed);
   }
@@ -664,19 +562,17 @@ class NeatsServer {
       conn->last_activity = now;
       if (static_cast<size_t>(n) < sizeof(buf)) break;
     }
-    if (!conn->closed) ParseInput(conn, now);
+    if (!conn->closed) ParseInput(conn);
   }
 
   // --- Parsing (IO thread) -------------------------------------------------
 
-  void ParseInput(const std::shared_ptr<Conn>& conn, uint64_t now) {
+  void ParseInput(const std::shared_ptr<Conn>& conn) {
     if (conn->mode == Conn::Mode::kUnknown) {
       if (conn->in.empty()) return;
       const uint8_t first = conn->in[0];
       if (first == 0x4E) {  // 'N' — binary magic
         conn->mode = Conn::Mode::kBinary;
-      } else if (first == '{') {
-        conn->mode = Conn::Mode::kJson;
       } else if (first == 'G') {
         conn->mode = Conn::Mode::kHttp;
       } else {
@@ -688,15 +584,14 @@ class NeatsServer {
         return;
       }
     }
-    switch (conn->mode) {
-      case Conn::Mode::kBinary: ParseBinary(conn, now); break;
-      case Conn::Mode::kJson: ParseJsonLines(conn, now); break;
-      case Conn::Mode::kHttp: ParseHttp(conn, now); break;
-      case Conn::Mode::kUnknown: break;
+    if (conn->mode == Conn::Mode::kBinary) {
+      ParseBinary(conn);
+    } else {
+      ParseHttp(conn);
     }
   }
 
-  void ParseBinary(const std::shared_ptr<Conn>& conn, uint64_t now) {
+  void ParseBinary(const std::shared_ptr<Conn>& conn) {
     while (!conn->closed && conn->in.size() >= kFrameHeaderBytes) {
       FrameHeader h;
       if (!DecodeFrameHeader(conn->in, &h)) {
@@ -744,7 +639,7 @@ class NeatsServer {
       conn->in.erase(conn->in.begin(),
                      conn->in.begin() + static_cast<ptrdiff_t>(frame));
     }
-    TryDispatch(conn, now);
+    TryDispatch(conn);
     FlushOut(conn);
     if (!conn->closed) UpdateInterest(conn, false);
   }
@@ -796,115 +691,7 @@ class NeatsServer {
     return true;
   }
 
-  void ParseJsonLines(const std::shared_ptr<Conn>& conn, uint64_t now) {
-    while (!conn->closed) {
-      const auto nl =
-          std::find(conn->in.begin(), conn->in.end(), uint8_t{'\n'});
-      if (nl == conn->in.end()) {
-        if (conn->in.size() > options_.max_frame_bytes) {
-          HardProtocolError(conn, 0, "JSON line exceeds max_frame_bytes");
-        }
-        break;
-      }
-      const std::string_view line(
-          reinterpret_cast<const char*>(conn->in.data()),
-          static_cast<size_t>(nl - conn->in.begin()));
-      obs_->registry.Count(obs_->c_json_requests);
-      Request req;
-      std::string error;
-      const bool ok = ParseJsonRequest(line, &req, &error);
-      conn->in.erase(conn->in.begin(), nl + 1);
-      if (!ok) {
-        obs_->registry.Count(obs_->c_bad_frames);
-        SendError(conn, req.op, req.id, WireStatus::kBadRequest, error);
-        continue;
-      }
-      Admit(conn, std::move(req));
-    }
-    TryDispatch(conn, now);
-    FlushOut(conn);
-    if (!conn->closed) UpdateInterest(conn, false);
-  }
-
-  bool ParseJsonRequest(std::string_view line, Request* req,
-                        std::string* error) {
-    JsonValue v;
-    if (!ParseJson(line, &v) || v.kind != JsonValue::Kind::kObject) {
-      *error = "not a JSON object";
-      return false;
-    }
-    if (const JsonValue* id = v.Find("id")) {
-      if (id->integral) req->id = static_cast<uint64_t>(id->integer);
-    }
-    const JsonValue* op = v.Find("op");
-    if (op == nullptr || op->kind != JsonValue::Kind::kString) {
-      *error = "missing \"op\"";
-      return false;
-    }
-    auto u64_field = [&](const char* name, uint64_t* out) {
-      const JsonValue* f = v.Find(name);
-      if (f == nullptr || !f->AsU64(out)) {
-        *error = std::string("missing or invalid \"") + name + "\"";
-        return false;
-      }
-      return true;
-    };
-    const std::string& name = op->string;
-    if (name == "ping") {
-      req->op = Opcode::kPing;
-    } else if (name == "size") {
-      req->op = Opcode::kSize;
-    } else if (name == "stats") {
-      req->op = Opcode::kStats;
-    } else if (name == "access") {
-      req->op = Opcode::kAccess;
-      if (!u64_field("i", &req->a)) return false;
-    } else if (name == "access_batch") {
-      req->op = Opcode::kAccessBatch;
-      const JsonValue* idx = v.Find("idx");
-      if (idx == nullptr || idx->kind != JsonValue::Kind::kArray) {
-        *error = "missing or invalid \"idx\"";
-        return false;
-      }
-      req->idx.reserve(idx->array.size());
-      for (const JsonValue& e : idx->array) {
-        uint64_t i;
-        if (!e.AsU64(&i)) {
-          *error = "\"idx\" holds a non-index value";
-          return false;
-        }
-        req->idx.push_back(i);
-      }
-    } else if (name == "range" || name == "range_sum") {
-      req->op = name == "range" ? Opcode::kDecompressRange
-                                : Opcode::kRangeSum;
-      if (!u64_field("from", &req->a) || !u64_field("len", &req->b)) {
-        return false;
-      }
-    } else if (name == "ranges") {
-      req->op = Opcode::kDecompressRanges;
-      const JsonValue* rs = v.Find("ranges");
-      if (rs == nullptr || rs->kind != JsonValue::Kind::kArray) {
-        *error = "missing or invalid \"ranges\"";
-        return false;
-      }
-      for (const JsonValue& e : rs->array) {
-        uint64_t from, len;
-        if (e.kind != JsonValue::Kind::kArray || e.array.size() != 2 ||
-            !e.array[0].AsU64(&from) || !e.array[1].AsU64(&len)) {
-          *error = "\"ranges\" entries must be [from, len]";
-          return false;
-        }
-        req->ranges.push_back({from, len});
-      }
-    } else {
-      *error = "unknown op \"" + name + "\"";
-      return false;
-    }
-    return true;
-  }
-
-  void ParseHttp(const std::shared_ptr<Conn>& conn, uint64_t now) {
+  void ParseHttp(const std::shared_ptr<Conn>& conn) {
     static constexpr std::string_view kEnd = "\r\n\r\n";
     const std::string_view text(
         reinterpret_cast<const char*>(conn->in.data()), conn->in.size());
@@ -942,7 +729,7 @@ class NeatsServer {
     Request req;
     req.op = Opcode::kStats;
     Admit(conn, std::move(req));
-    TryDispatch(conn, now);
+    TryDispatch(conn);
     if (!conn->closed) UpdateInterest(conn, false);
   }
 
@@ -986,9 +773,10 @@ class NeatsServer {
 
   /// Starts the next work item if the connection is free: a coalesced run
   /// of leading Access requests (one store AccessBatch call), or a single
-  /// request of any other opcode. Passing `now = ~0` flushes any pending
-  /// coalesce window (used while draining).
-  void TryDispatch(const std::shared_ptr<Conn>& conn, uint64_t now) {
+  /// request of any other opcode. The run is everything that arrived while
+  /// the connection's previous item executed, so pipelined probes batch
+  /// without any waiting.
+  void TryDispatch(const std::shared_ptr<Conn>& conn) {
     if (conn->closed || conn->queue.empty()) return;
     {
       std::lock_guard<std::mutex> lk(conn->hand_mu);
@@ -997,28 +785,8 @@ class NeatsServer {
     size_t run = 0;
     while (run < conn->queue.size() &&
            conn->queue[run].op == Opcode::kAccess &&
-           run < options_.coalesce_max_batch) {
+           run < server_internal::kCoalesceMaxBatch) {
       ++run;
-    }
-    if (run > 0 && run == conn->queue.size() &&
-        run < options_.coalesce_max_batch &&
-        options_.coalesce_window_us > 0 && !conn->read_shut &&
-        now != ~uint64_t{0}) {
-      // The whole queue is a still-growing Access run: hold it open for
-      // the coalescing window before spending a batch call on it.
-      if (conn->defer_since == 0) {
-        conn->defer_since = now;
-        ++deferred_;
-        return;
-      }
-      if (now - conn->defer_since <
-          uint64_t{options_.coalesce_window_us} * 1000) {
-        return;
-      }
-    }
-    if (conn->defer_since != 0) {
-      conn->defer_since = 0;
-      --deferred_;
     }
     const size_t take = run > 0 ? run : 1;
     std::vector<Request> items;
@@ -1085,7 +853,7 @@ class NeatsServer {
         conn->handoff.clear();
       }
       conn->last_activity = now;
-      TryDispatch(conn, draining ? ~uint64_t{0} : now);
+      TryDispatch(conn);
       FlushOut(conn);
       if (conn->closed) continue;
       MaybeFinish(conn);
@@ -1102,7 +870,7 @@ class NeatsServer {
     // int64-aligned (AppendValuesResponse).
     std::string out;
     if (items.size() > 1) {
-      ExecuteCoalesced(mode, items, &out);
+      ExecuteCoalesced(items, &out);
     } else {
       const uint64_t t0 = obs::NowNs();
       ExecuteOne(mode, items[0], &out);
@@ -1135,8 +903,7 @@ class NeatsServer {
   /// request order, out-of-range probes answered individually). The run's
   /// service time lands in the "op.access" histogram once, its size in
   /// "coalesce.batch".
-  void ExecuteCoalesced(Conn::Mode mode, std::vector<Request>& items,
-                        std::string* out) {
+  void ExecuteCoalesced(std::vector<Request>& items, std::string* out) {
     const uint64_t t0 = obs::NowNs();
     obs_->registry.Count(obs_->c_coalesced_batches);
     obs_->registry.Count(obs_->c_coalesced_probes, items.size());
@@ -1166,16 +933,17 @@ class NeatsServer {
     size_t at = 0;
     for (const Request& r : items) {
       if (r.a >= size) {
-        AppendError(mode, r.op, r.id, WireStatus::kOutOfRange,
+        AppendError(Conn::Mode::kBinary, r.op, r.id, WireStatus::kOutOfRange,
                     "index past store size", out);
         continue;
       }
       if (failure != WireStatus::kOk) {
-        AppendError(mode, r.op, r.id, failure, failure_msg, out);
+        AppendError(Conn::Mode::kBinary, r.op, r.id, failure, failure_msg,
+                    out);
         ++at;
         continue;
       }
-      AppendValueResponse(mode, r.id, values[at++], out);
+      AppendValueResponse(r.id, values[at++], out);
     }
     obs_->registry.Record(obs_->h_op[static_cast<uint8_t>(Opcode::kAccess)],
                           obs::NowNs() - t0);
@@ -1186,20 +954,13 @@ class NeatsServer {
     try {
       switch (req.op) {
         case Opcode::kPing: {
-          AppendOk(mode, req.op, req.id, {}, "", out);
+          AppendOk(req.op, req.id, {}, out);
           return;
         }
         case Opcode::kSize: {
-          const uint64_t size = store_.size();
-          if (mode == Conn::Mode::kBinary) {
-            std::vector<uint8_t> payload;
-            PayloadWriter w(&payload);
-            w.U64(size);
-            AppendOk(mode, req.op, req.id, payload, "", out);
-          } else {
-            AppendOk(mode, req.op, req.id, {},
-                     "\"size\": " + std::to_string(size), out);
-          }
+          uint8_t payload[8];
+          wire_internal::PutU64(payload, store_.size());
+          AppendOk(req.op, req.id, payload, out);
           return;
         }
         case Opcode::kStats: {
@@ -1209,18 +970,11 @@ class NeatsServer {
                     "Content-Length: " +
                     std::to_string(stats.size()) +
                     "\r\nConnection: close\r\n\r\n" + stats;
-          } else if (mode == Conn::Mode::kBinary) {
-            AppendOk(mode, req.op, req.id,
+          } else {
+            AppendOk(req.op, req.id,
                      {reinterpret_cast<const uint8_t*>(stats.data()),
                       stats.size()},
-                     "", out);
-          } else {
-            // Stats is itself a JSON object; embed it (newlines stripped,
-            // since the dialect is line-delimited).
-            std::string flat = stats;
-            std::erase(flat, '\n');
-            AppendOk(mode, req.op, req.id, {},
-                     "\"stats\": " + flat, out);
+                     out);
           }
           return;
         }
@@ -1230,7 +984,7 @@ class NeatsServer {
                         "index past store size", out);
             return;
           }
-          AppendValueResponse(mode, req.id, store_.Access(req.a), out);
+          AppendValueResponse(req.id, store_.Access(req.a), out);
           return;
         }
         case Opcode::kAccessBatch: {
@@ -1242,7 +996,7 @@ class NeatsServer {
               return;
             }
           }
-          AppendValuesResponse(mode, req.op, req.id, req.idx.size(),
+          AppendValuesResponse(req.op, req.id, req.idx.size(),
                                [&](int64_t* values) {
                                  store_.AccessBatch(
                                      req.idx, {values, req.idx.size()});
@@ -1277,11 +1031,11 @@ class NeatsServer {
             }
           }
           if (req.op == Opcode::kRangeSum) {
-            AppendValueResponse(mode, req.id, store_.RangeSum(req.a, req.b),
-                                out, /*sum=*/true);
+            AppendValueResponse(req.id, store_.RangeSum(req.a, req.b), out,
+                                /*sum=*/true);
             return;
           }
-          AppendValuesResponse(mode, req.op, req.id, total,
+          AppendValuesResponse(req.op, req.id, total,
                                [&](int64_t* values) {
                                  if (req.op == Opcode::kDecompressRange) {
                                    store_.DecompressRange(req.a, req.b,
@@ -1312,95 +1066,56 @@ class NeatsServer {
 
   // --- Response formatting (worker or IO thread; writes to a local) --------
 
-  /// Success envelope. Binary: a kOk frame carrying `payload`. JSON: an
-  /// {"id", "ok": true, ...} line carrying `json_fields` (pre-rendered
-  /// `"key": value` text, may be empty).
-  void AppendOk(Conn::Mode mode, Opcode op, uint64_t id,
-                std::span<const uint8_t> payload,
-                const std::string& json_fields, std::string* out) {
-    if (mode == Conn::Mode::kBinary) {
-      AppendFrame(out, op, static_cast<uint16_t>(WireStatus::kOk), id,
-                  payload);
-      return;
-    }
-    *out += "{\"id\": " + std::to_string(id) + ", \"ok\": true";
-    if (!json_fields.empty()) *out += ", " + json_fields;
-    *out += "}\n";
+  /// A kOk frame carrying `payload`.
+  void AppendOk(Opcode op, uint64_t id, std::span<const uint8_t> payload,
+                std::string* out) {
+    AppendFrame(out, op, static_cast<uint16_t>(WireStatus::kOk), id,
+                payload);
   }
 
-  void AppendValueResponse(Conn::Mode mode, uint64_t id, int64_t value,
-                           std::string* out, bool sum = false) {
-    if (mode == Conn::Mode::kBinary) {
-      uint8_t payload[8];
-      wire_internal::PutU64(payload, static_cast<uint64_t>(value));
-      AppendOk(mode, sum ? Opcode::kRangeSum : Opcode::kAccess, id, payload,
-               "", out);
-      return;
-    }
-    AppendOk(mode, Opcode::kAccess, id, {},
-             std::string(sum ? "\"sum\": " : "\"value\": ") +
-                 std::to_string(value),
-             out);
+  void AppendValueResponse(uint64_t id, int64_t value, std::string* out,
+                           bool sum = false) {
+    uint8_t payload[8];
+    wire_internal::PutU64(payload, static_cast<uint64_t>(value));
+    AppendOk(sum ? Opcode::kRangeSum : Opcode::kAccess, id, payload, out);
   }
 
   /// A kOk response of `count` int64 values that `fill(int64_t* dst)`
-  /// writes. Binary: the frame is reserved in `out` and `fill` decodes
-  /// straight into its payload (little-endian int64s are the wire bytes),
-  /// then the header and CRC are sealed in place — no intermediate copy.
-  /// If `fill` throws, the reserved frame stays; ExecuteOne truncates it.
+  /// writes: the frame is reserved in `out` and `fill` decodes straight
+  /// into its payload (little-endian int64s are the wire bytes), then the
+  /// header and CRC are sealed in place — no intermediate copy. If `fill`
+  /// throws, the reserved frame stays; ExecuteOne truncates it.
   template <typename Fill>
-  void AppendValuesResponse(Conn::Mode mode, Opcode op, uint64_t id,
-                            size_t count, Fill&& fill, std::string* out) {
-    if (mode == Conn::Mode::kBinary) {
-      uint8_t* frame = ReserveFrame(out, count * 8);
-      auto* values = reinterpret_cast<int64_t*>(frame + kFrameHeaderBytes);
-      NEATS_DCHECK(reinterpret_cast<uintptr_t>(values) % alignof(int64_t) ==
-                   0);
-      fill(values);
-      SealFrame(frame, op, static_cast<uint16_t>(WireStatus::kOk), id,
-                static_cast<uint32_t>(count * 8));
-      return;
-    }
-    std::vector<int64_t> values(count);
-    fill(values.data());
-    std::string field = "\"values\": [";
-    for (size_t i = 0; i < values.size(); ++i) {
-      if (i > 0) field += ", ";
-      field += std::to_string(values[i]);
-    }
-    field += "]";
-    AppendOk(mode, op, id, {}, field, out);
+  void AppendValuesResponse(Opcode op, uint64_t id, size_t count, Fill&& fill,
+                            std::string* out) {
+    uint8_t* frame = ReserveFrame(out, count * 8);
+    auto* values = reinterpret_cast<int64_t*>(frame + kFrameHeaderBytes);
+    NEATS_DCHECK(reinterpret_cast<uintptr_t>(values) % alignof(int64_t) == 0);
+    fill(values);
+    SealFrame(frame, op, static_cast<uint16_t>(WireStatus::kOk), id,
+              static_cast<uint32_t>(count * 8));
   }
 
+  /// An error response: a binary frame carrying `message`, or for the HTTP
+  /// stats route a bodiless 503.
   void AppendError(Conn::Mode mode, Opcode op, uint64_t id, WireStatus s,
                    const std::string& message, std::string* out) {
     obs_->registry.Count(obs_->c_errors);
-    if (mode == Conn::Mode::kBinary) {
-      AppendFrame(out, op, static_cast<uint16_t>(s), id,
-                  {reinterpret_cast<const uint8_t*>(message.data()),
-                   message.size()});
-      return;
-    }
     if (mode == Conn::Mode::kHttp) {
       *out += "HTTP/1.0 503 Service Unavailable\r\nContent-Length: 0\r\n"
               "Connection: close\r\n\r\n";
       return;
     }
-    *out += "{\"id\": " + std::to_string(id) +
-            ", \"ok\": false, \"status\": \"";
-    *out += WireStatusName(s);
-    *out += "\", \"error\": ";
-    AppendJsonString(out, message);
-    *out += "}\n";
+    AppendFrame(out, op, static_cast<uint16_t>(s), id,
+                {reinterpret_cast<const uint8_t*>(message.data()),
+                 message.size()});
   }
 
   /// IO-thread-side immediate error (sheds, parse failures): same
   /// formatting, straight into the connection's out buffer.
   void SendError(const std::shared_ptr<Conn>& conn, Opcode op, uint64_t id,
                  WireStatus s, const std::string& message) {
-    Conn::Mode mode = conn->mode;
-    if (mode == Conn::Mode::kUnknown) mode = Conn::Mode::kBinary;
-    AppendError(mode, op, id, s, message, &conn->OutForAppend());
+    AppendError(conn->mode, op, id, s, message, &conn->OutForAppend());
   }
 
   const NeatsStore& store_;
@@ -1420,7 +1135,6 @@ class NeatsServer {
   // IO-thread state.
   Poller* poller_ = nullptr;
   std::unordered_map<int, std::shared_ptr<Conn>> conns_;
-  size_t deferred_ = 0;  // connections holding a coalesce window open
 
   // Worker -> IO completion handoff.
   std::mutex comp_mu_;

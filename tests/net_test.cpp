@@ -1,8 +1,8 @@
 // Tests for the network layer (src/net/): wire-protocol units, the
 // client/server loopback round trip for every opcode and dialect,
-// admission-control shedding, graceful drain, the poll(2) fallback
-// backend, protocol hardening (the clobber/truncation/forged-length
-// sweeps mirroring the WAL/manifest fuzz pattern), and the multi-client
+// admission-control shedding, graceful drain, protocol hardening (the
+// clobber/truncation/forged-length sweeps mirroring the WAL/manifest fuzz
+// pattern, and the typed answer to an unknown opening), and the multi-client
 // loopback concurrency test that runs under the ThreadSanitizer CI job.
 
 #include <gtest/gtest.h>
@@ -94,9 +94,6 @@ TEST(Protocol, JsonParserAcceptsAndRejects) {
   JsonValue v;
   ASSERT_TRUE(ParseJson(R"({"op":"access","i":5,"id":9})", &v));
   ASSERT_NE(v.Find("i"), nullptr);
-  uint64_t i = 0;
-  EXPECT_TRUE(v.Find("i")->AsU64(&i));
-  EXPECT_EQ(i, 5u);
 
   EXPECT_FALSE(ParseJson("{", &v));
   EXPECT_FALSE(ParseJson(R"({"a":1} trailing)", &v));
@@ -104,8 +101,6 @@ TEST(Protocol, JsonParserAcceptsAndRejects) {
   std::string deep(100, '[');
   EXPECT_FALSE(ParseJson(deep, &v));  // past the depth limit, cleanly
   ASSERT_TRUE(ParseJson(R"({"x":-3.5e2,"y":12})", &v));
-  EXPECT_FALSE(v.Find("x")->AsU64(&i));  // not integral
-  EXPECT_TRUE(v.Find("y")->AsU64(&i));
 }
 
 // --- Loopback fixture -----------------------------------------------------
@@ -292,44 +287,6 @@ TEST_F(NetTest, AdmissionGateShedsWithTypedOverload) {
             1.0);
 }
 
-TEST_F(NetTest, JsonDialectServesAndRejects) {
-  StartServer();
-  const int fd = ConnectTo("127.0.0.1", server_->port());
-  auto ask = [&](const std::string& line) {
-    SendAll(fd, {reinterpret_cast<const uint8_t*>(line.data()),
-                 line.size()});
-    std::string response;
-    uint8_t b;
-    while (RecvAll(fd, {&b, 1}) && b != '\n') {
-      response.push_back(static_cast<char>(b));
-    }
-    return response;
-  };
-  JsonValue v;
-  ASSERT_TRUE(ParseJson(ask("{\"op\":\"access\",\"i\":7,\"id\":3}\n"), &v));
-  EXPECT_TRUE(v.Find("ok")->boolean);
-  EXPECT_EQ(v.Find("value")->integer, Truth(7));
-  EXPECT_EQ(v.Find("id")->integer, 3);
-
-  ASSERT_TRUE(
-      ParseJson(ask("{\"op\":\"range_sum\",\"from\":0,\"len\":3}\n"), &v));
-  EXPECT_EQ(v.Find("sum")->integer, Truth(0) + Truth(1) + Truth(2));
-
-  ASSERT_TRUE(ParseJson(ask("{\"op\":\"nope\"}\n"), &v));
-  EXPECT_FALSE(v.Find("ok")->boolean);
-  EXPECT_EQ(v.Find("status")->string, "bad_request");
-
-  ASSERT_TRUE(ParseJson(ask("{\"op\":\"stats\"}\n"), &v));
-  EXPECT_TRUE(v.Find("ok")->boolean);
-  ASSERT_NE(v.Find("stats"), nullptr);
-  EXPECT_NE(v.Find("stats")->Find("server"), nullptr);
-
-  ASSERT_TRUE(ParseJson(ask("not json at all\n"), &v));
-  EXPECT_FALSE(v.Find("ok")->boolean);
-  ::close(fd);
-  ExpectServerAlive();
-}
-
 TEST_F(NetTest, HttpStatsRouteAnswersCurl) {
   StartServer();
   const int fd = ConnectTo("127.0.0.1", server_->port());
@@ -391,18 +348,6 @@ TEST_F(NetTest, GracefulDrainFinishesInFlightWork) {
   server_->Stop();
   // The listener is gone after the drain.
   EXPECT_THROW((void)Client::Connect("127.0.0.1", server_->port()), Error);
-}
-
-TEST_F(NetTest, PollBackendServesTheSameProtocol) {
-  NeatsServerOptions options;
-  options.use_poll = true;
-  StartServer(options);
-  Client c = Connect();
-  EXPECT_EQ(c.Access(11), Truth(11));
-  std::vector<uint64_t> idx = {1, 2, 3};
-  EXPECT_EQ(c.AccessBatch(idx).size(), 3u);
-  EXPECT_EQ(c.Size(), kInitial);
-  ExpectServerAlive();
 }
 
 // --- Large responses (past one socket buffer) ----------------------------
@@ -643,7 +588,8 @@ TEST_F(NetTest, ForgedLengthWordsSurvive) {
   shortframe.resize(shortframe.size() + 64, 0xEE);
   FeedHostileBytes(server_->port(), shortframe);
 
-  // Random-garbage openings in every dialect's first-byte class.
+  // Garbage openings: each dialect's first byte, and leads no dialect
+  // claims.
   for (uint8_t lead : {uint8_t{'N'}, uint8_t{'{'}, uint8_t{'G'},
                        uint8_t{0x00}, uint8_t{0xFF}}) {
     std::vector<uint8_t> garbage(64, lead);
@@ -652,13 +598,29 @@ TEST_F(NetTest, ForgedLengthWordsSurvive) {
   ExpectServerAlive();
 }
 
-TEST_F(NetTest, OversizedJsonLineCloses) {
-  NeatsServerOptions options;
-  options.max_frame_bytes = 4096;  // small cap to keep the test quick
-  StartServer(options);
-  std::vector<uint8_t> line(options.max_frame_bytes + 512, '{');
-  FeedHostileBytes(server_->port(), line);  // no newline, over the cap
-  ExpectServerAlive();
+TEST_F(NetTest, UnknownOpeningGetsOneTypedFrameThenEof) {
+  StartServer();
+  for (uint8_t lead : {uint8_t{'{'}, uint8_t{0x00}}) {
+    SCOPED_TRACE(static_cast<int>(lead));
+    const int fd = ConnectTo("127.0.0.1", server_->port());
+    std::vector<uint8_t> opening(16, lead);
+    SendAll(fd, opening);
+    ::shutdown(fd, SHUT_WR);
+    uint8_t header[kFrameHeaderBytes];
+    ASSERT_TRUE(RecvAll(fd, header));
+    FrameHeader h;
+    ASSERT_TRUE(DecodeFrameHeader(header, &h));
+    EXPECT_EQ(h.status, static_cast<uint16_t>(WireStatus::kBadRequest));
+    std::vector<uint8_t> payload(h.payload_len);
+    ASSERT_TRUE(RecvAll(fd, payload));
+    ASSERT_TRUE(VerifyFrameCrc(header, payload));
+    EXPECT_EQ(std::string(payload.begin(), payload.end()),
+              "unrecognized protocol");
+    uint8_t extra;
+    EXPECT_EQ(::recv(fd, &extra, 1, 0), 0) << "want EOF after the frame";
+    ::close(fd);
+    ExpectServerAlive();
+  }
 }
 
 // --- Loopback concurrency (runs under the TSan CI job) --------------------

@@ -1,13 +1,16 @@
 // neats_server — the networked serving front-end (ROADMAP item 1).
 //
-// Fronts one NeatsStore over TCP: binary frames, line-delimited JSON, and
-// an HTTP GET /stats route on the same port (src/net/server.hpp has the
-// protocol and threading story). Serves either a store directory or a
+// Fronts one NeatsStore over TCP: binary frames and an HTTP GET /stats
+// route on the same port (src/net/server.hpp has the protocol and
+// threading story). Serves either a store directory or a
 // synthetic dataset, so a demo needs no data files:
 //
 //   ./neats_server --synthetic 200000                # ECG-shaped data
 //   ./neats_server --dir /var/lib/neats/series0     # a flushed store
-//   ./neats_server --port 7777 --workers 8 --coalesce-window-us 50
+//   ./neats_server --port 7777 --workers 8
+//
+// Numeric flags must be whole decimal numbers in range (--port <= 65535);
+// anything else prints the usage and exits 2 before the server starts.
 //
 // Prints "listening on HOST:PORT" once ready (with --port-file the port
 // also lands in a file — CI's ephemeral-port smoke step uses that), then
@@ -15,6 +18,8 @@
 // accepting, finish in-flight requests, flush buffers, close, and — when
 // the store came from --dir — Flush() the hot tail durably.
 
+#include <charconv>
+#include <climits>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -43,8 +48,7 @@ int Usage(const char* argv0) {
       stderr,
       "usage: %s [--dir DIR | --synthetic N] [--dataset CODE] [--host H]\n"
       "          [--port P] [--port-file FILE] [--workers N]\n"
-      "          [--max-inflight N] [--coalesce-window-us U]\n"
-      "          [--idle-timeout-ms MS] [--use-poll]\n",
+      "          [--max-inflight N] [--idle-timeout-ms MS]\n",
       argv0);
   return 2;
 }
@@ -67,30 +71,40 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // The value of a numeric flag: all of it a decimal integer in [lo, hi]
+    // (no sign, spaces or trailing bytes), else usage and exit 2.
+    auto number = [&](uint64_t lo, uint64_t hi) -> uint64_t {
+      const char* text = next();
+      const char* end = text + std::strlen(text);
+      uint64_t v = 0;
+      const auto [ptr, ec] = std::from_chars(text, end, v);
+      if (ec != std::errc() || ptr != end || v < lo || v > hi) {
+        std::fprintf(stderr, "%s: want an integer in [%llu, %llu], got '%s'\n",
+                     arg.c_str(), static_cast<unsigned long long>(lo),
+                     static_cast<unsigned long long>(hi), text);
+        std::exit(Usage(argv[0]));
+      }
+      return v;
+    };
     if (arg == "--dir") {
       dir = next();
     } else if (arg == "--synthetic") {
-      synthetic = std::strtoull(next(), nullptr, 10);
+      synthetic = number(1, UINT64_MAX);
     } else if (arg == "--dataset") {
       dataset = next();
     } else if (arg == "--host") {
       options.host = next();
     } else if (arg == "--port") {
-      options.port = static_cast<uint16_t>(std::strtoul(next(), nullptr, 10));
+      options.port = static_cast<uint16_t>(number(0, UINT16_MAX));
     } else if (arg == "--port-file") {
       port_file = next();
     } else if (arg == "--workers") {
-      options.worker_threads = std::atoi(next());
+      // The server sizes its pool as worker_threads + 1, an int.
+      options.worker_threads = static_cast<int>(number(0, INT_MAX - 1));
     } else if (arg == "--max-inflight") {
-      options.max_inflight = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--coalesce-window-us") {
-      options.coalesce_window_us =
-          static_cast<uint32_t>(std::strtoul(next(), nullptr, 10));
+      options.max_inflight = number(0, SIZE_MAX);
     } else if (arg == "--idle-timeout-ms") {
-      options.idle_timeout_ms =
-          static_cast<uint32_t>(std::strtoul(next(), nullptr, 10));
-    } else if (arg == "--use-poll") {
-      options.use_poll = true;
+      options.idle_timeout_ms = static_cast<uint32_t>(number(0, UINT32_MAX));
     } else {
       return Usage(argv[0]);
     }
