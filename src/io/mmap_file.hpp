@@ -119,7 +119,7 @@ class MmapFile {
     kNormal,      // default readahead
     kSequential,  // aggressive readahead, drop-behind (full scans)
     kRandom,      // disable readahead (point queries)
-    kWillNeed,    // prefetch the pages now (an imminent batch/range query)
+    kWillNeed,    // prefetch the pages now (an imminent range query)
   };
 
   /// Forwards `advice` to madvise over the whole mapping. Purely a hint —

@@ -55,9 +55,10 @@
 //
 //   Access(i)              one shard lookup + one codec Access
 //   AccessBatch(idx, out)  probes of any order: argsorted, grouped per
-//                          shard (with an mmap WILLNEED prefetch hint per
-//                          routed shard), then resolved by the shard
-//                          codec's batch kernel
+//                          shard, then resolved by the shard codec's
+//                          batch kernel (no prefetch hint: a batch touches
+//                          a few pages, and a WILLNEED over the whole
+//                          mapping cost more than the probes it served)
 //   DecompressRange(s)     per-shard scans, stitched; consecutive ranges
 //                          covered by the same shard go to the codec as one
 //                          DecompressRanges call, so one cursor serves the
@@ -740,31 +741,61 @@ class NeatsStore {
     }
   }
 
-  /// Batched point queries, any probe order, duplicates allowed. Probes are
-  /// argsorted, grouped per shard, and each shard group is resolved by the
-  /// shard codec's batch kernel (after a WILLNEED prefetch hint on the
-  /// shard's mapping); out[j] receives the value at idx[j] (the sort is
-  /// internal, results come back in input order).
+  /// Batched point queries, any probe order, duplicates allowed; every
+  /// probe must be < size(). Probes are argsorted, grouped per shard, and
+  /// each shard group is resolved by the shard codec's batch kernel; out[j]
+  /// receives the value at idx[j] (the sort is internal, results come back
+  /// in input order).
   void AccessBatch(std::span<const uint64_t> idx,
                    std::span<int64_t> out) const {
     NEATS_DCHECK(idx.size() == out.size());
     if (idx.empty()) return;
     std::shared_lock<std::shared_mutex> lock(*mu_);
-    store_internal::StoreObs* ob = obs_.get();
-    if (ob == nullptr) {
-      AccessBatchLocked(idx, out);
-      return;
+    [[maybe_unused]] const size_t served = AccessBatchObserved(idx, out);
+    NEATS_DCHECK(served == idx.size());
+  }
+
+  /// AccessBatch for probes that may run past the end, in one reader-lock
+  /// acquisition: `*size_seen` receives the store size the batch was
+  /// served at, probes at or past it are skipped (their out[j] is left
+  /// untouched), and the rest are answered as AccessBatch answers them,
+  /// with the same metrics. Without `wait` the lock is only tried: when a
+  /// writer holds it (Append across its WAL fsync, Flush and Scrub for
+  /// seconds) this returns false at once and serves nothing, which is what
+  /// lets the server's IO thread read through here without ever stalling
+  /// behind a writer. With `wait` it blocks like every other query and
+  /// always returns true.
+  bool TryAccessBatch(std::span<const uint64_t> idx, std::span<int64_t> out,
+                      uint64_t* size_seen, bool wait = false) const {
+    NEATS_DCHECK(idx.size() == out.size());
+    std::shared_lock<std::shared_mutex> lock(*mu_, std::defer_lock);
+    if (wait) {
+      lock.lock();
+    } else if (!lock.try_lock()) {
+      return false;
     }
+    *size_seen = SizeImpl();
+    if (!idx.empty()) AccessBatchObserved(idx, out);
+    return true;
+  }
+
+ private:
+  /// AccessBatchLocked plus the access_batch metrics and trace event.
+  size_t AccessBatchObserved(std::span<const uint64_t> idx,
+                             std::span<int64_t> out) const {
+    store_internal::StoreObs* ob = obs_.get();
+    if (ob == nullptr) return AccessBatchLocked(idx, out);
     ob->registry.Count(ob->c_batch_calls);
-    ob->registry.Count(ob->c_batch_probes, idx.size());
     try {
       const uint64_t t0 = obs::NowNs();
-      AccessBatchLocked(idx, out);
+      const size_t served = AccessBatchLocked(idx, out);
       const uint64_t dur = obs::NowNs() - t0;
+      ob->registry.Count(ob->c_batch_probes, served);
       ob->registry.Record(ob->h_batch, dur);
       ob->Trace(obs::EventId::kAccessBatch, obs::TraceTier::kNone, 0,
                 obs::TraceEvent::kNoCodec, obs::kNoShard, idx[0], idx.size(),
                 dur);
+      return served;
     } catch (const Error& e) {
       ob->Error(obs::EventId::kAccessBatch, idx[0],
                 static_cast<uint16_t>(e.code()));
@@ -772,21 +803,21 @@ class NeatsStore {
     }
   }
 
- private:
-  /// AccessBatch body under the reader lock (the public wrapper only adds
-  /// metrics around it).
-  void AccessBatchLocked(std::span<const uint64_t> idx,
-                         std::span<int64_t> out) const {
+  /// AccessBatch body under the reader lock: serves the probes below
+  /// SizeImpl() and returns how many there were (the rest sort last and
+  /// are skipped).
+  size_t AccessBatchLocked(std::span<const uint64_t> idx,
+                           std::span<int64_t> out) const {
     std::vector<size_t> order(idx.size());
     for (size_t j = 0; j < order.size(); ++j) order[j] = j;
     std::sort(order.begin(), order.end(),
               [&idx](size_t a, size_t b) { return idx[a] < idx[b]; });
     std::vector<uint64_t> local;
     std::vector<int64_t> local_out;
+    const uint64_t size = SizeImpl();
     size_t p = 0;
-    while (p < idx.size()) {
+    while (p < idx.size() && idx[order[p]] < size) {
       const uint64_t k = idx[order[p]];
-      NEATS_DCHECK(k < SizeImpl());
       if (k >= sealed_total_) {  // pending chunks + tail: raw reads
         out[order[p]] = AccessUnsealed(k);
         ++p;
@@ -800,9 +831,6 @@ class NeatsStore {
         local.push_back(idx[order[q]] - s.first);
         ++q;
       }
-      // Probes are sorted, so each routed shard forms exactly one group:
-      // one WILLNEED hint per shard per call, never per probe.
-      s.map.Advise(MmapFile::Advice::kWillNeed);
       local_out.resize(local.size());
       const uint64_t bv =
           cache_ != nullptr ? s.series->BlockValues() : uint64_t{0};
@@ -826,6 +854,7 @@ class NeatsStore {
       for (size_t j = p; j < q; ++j) out[order[j]] = local_out[j - p];
       p = q;
     }
+    return p;
   }
 
  public:

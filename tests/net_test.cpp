@@ -1,20 +1,27 @@
 // Tests for the network layer (src/net/): wire-protocol units, the
 // client/server loopback round trip for every opcode and dialect,
-// admission-control shedding, graceful drain, protocol hardening (the
-// clobber/truncation/forged-length sweeps mirroring the WAL/manifest fuzz
-// pattern, and the typed answer to an unknown opening), and the multi-client
-// loopback concurrency test that runs under the ThreadSanitizer CI job.
+// admission-control shedding, graceful drain, the IO thread's inline path
+// (a long pipelined burst, and pings served while a writer holds the
+// store's lock), protocol hardening (the clobber/truncation/forged-length
+// sweeps mirroring the WAL/manifest fuzz pattern, and the typed answer to
+// an unknown opening), and the multi-client loopback concurrency test that
+// runs under the ThreadSanitizer CI job.
 
 #include <gtest/gtest.h>
+#include <poll.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "io/fault_fs.hpp"
+#include "io/fs.hpp"
 #include "net/client.hpp"
 #include "net/protocol.hpp"
 #include "net/server.hpp"
@@ -268,6 +275,218 @@ TEST_F(NetTest, PipelinedAccessesCoalesceAndAnswerInOrder) {
       doc.Find("server")->Find("counters")->Find("coalesce.batches");
   ASSERT_NE(batches, nullptr);
   EXPECT_GE(batches->number, 1.0);
+}
+
+/// Reads one response frame from `fd`, checking its CRC; false on EOF, a
+/// bad header or a bad CRC.
+bool ReadFrame(int fd, FrameHeader* h, std::vector<uint8_t>* payload) {
+  uint8_t header[kFrameHeaderBytes];
+  if (!RecvAll(fd, header) || !DecodeFrameHeader(header, h)) return false;
+  payload->assign(h->payload_len, 0);
+  return RecvAll(fd, *payload) && VerifyFrameCrc(header, *payload);
+}
+
+std::vector<uint8_t> AccessFrame(uint64_t id, uint64_t index) {
+  std::vector<uint8_t> payload;
+  PayloadWriter(&payload).U64(index);
+  std::vector<uint8_t> frame;
+  AppendFrame(&frame, Opcode::kAccess, 0, id, payload);
+  return frame;
+}
+
+/// True when `fd` has bytes to read within `timeout_ms`.
+bool Readable(int fd, int timeout_ms) {
+  pollfd p{fd, POLLIN, 0};
+  return ::poll(&p, 1, timeout_ms) == 1;
+}
+
+TEST_F(NetTest, OneWriteOf2048PipelinedAccessesAnswersAllInOrder) {
+  NeatsServerOptions options;
+  options.max_queued_per_conn = 4096;  // nothing shed: every frame answers
+  options.max_inflight = 4096;
+  StartServer(options);
+
+  // 2048 frames of 32 bytes in one write: the server parses each read of
+  // up to 64 KiB with one cursor pass and serves them as Access runs.
+  constexpr uint64_t kFrames = 2048;
+  auto index_of = [](uint64_t k) { return k * 7919 % kInitial; };
+  std::vector<uint8_t> burst;
+  for (uint64_t k = 0; k < kFrames; ++k) {
+    const std::vector<uint8_t> frame = AccessFrame(k, index_of(k));
+    burst.insert(burst.end(), frame.begin(), frame.end());
+  }
+  const int fd = ConnectTo("127.0.0.1", server_->port());
+  SendAll(fd, burst);
+  for (uint64_t k = 0; k < kFrames; ++k) {
+    FrameHeader h;
+    std::vector<uint8_t> payload;
+    ASSERT_TRUE(ReadFrame(fd, &h, &payload)) << "response " << k;
+    ASSERT_EQ(h.id, k) << "responses must keep request order";
+    ASSERT_EQ(h.status, 0u) << "response " << k;
+    PayloadReader r(payload);
+    ASSERT_EQ(r.I64(), Truth(index_of(k))) << "response " << k;
+  }
+  ::close(fd);
+
+  const obs::MetricsSnapshot snap = server_->StatsSnapshot();
+  EXPECT_EQ(*snap.counter("req.shed"), 0u);
+  EXPECT_GE(*snap.counter("dispatch.inline"), 1u);
+  EXPECT_EQ(*snap.counter("dispatch.pool"), 0u) << "no writer: all inline";
+}
+
+/// A FileSystem whose file Syncs park while the latch is shut: an Append
+/// stalls inside its WAL fsync, holding the store's writer lock, until the
+/// test opens the latch.
+class SyncLatchFs final : public io::FileSystem {
+ public:
+  explicit SyncLatchFs(io::FileSystem& inner) : inner_(inner) {}
+
+  void Shut() {
+    std::lock_guard<std::mutex> lk(mu_);
+    shut_ = true;
+  }
+
+  void Open() {
+    std::lock_guard<std::mutex> lk(mu_);
+    shut_ = false;
+    cv_.notify_all();
+  }
+
+  /// Waits until some Sync is parked on the shut latch.
+  bool WaitForParkedSync() {
+    std::unique_lock<std::mutex> lk(mu_);
+    return cv_.wait_for(lk, std::chrono::seconds(10),
+                        [&] { return parked_ > 0; });
+  }
+
+  std::unique_ptr<io::WritableFile> Create(const std::string& path) override {
+    return std::make_unique<File>(*this, inner_.Create(path));
+  }
+  std::unique_ptr<io::WritableFile> OpenAppend(
+      const std::string& path) override {
+    return std::make_unique<File>(*this, inner_.OpenAppend(path));
+  }
+  io::MappedRegion OpenRead(const std::string& path) override {
+    return inner_.OpenRead(path);
+  }
+  bool Exists(const std::string& path) override { return inner_.Exists(path); }
+  uint64_t FileSize(const std::string& path) override {
+    return inner_.FileSize(path);
+  }
+  void Rename(const std::string& from, const std::string& to) override {
+    inner_.Rename(from, to);
+  }
+  void Remove(const std::string& path) override { inner_.Remove(path); }
+  void SyncDir(const std::string& dir) override { inner_.SyncDir(dir); }
+  void CreateDirs(const std::string& dir) override { inner_.CreateDirs(dir); }
+
+ private:
+  class File final : public io::WritableFile {
+   public:
+    File(SyncLatchFs& fs, std::unique_ptr<io::WritableFile> inner)
+        : fs_(fs), inner_(std::move(inner)) {}
+    void Write(std::span<const uint8_t> bytes) override {
+      inner_->Write(bytes);
+    }
+    void Sync() override {
+      fs_.Park();
+      inner_->Sync();
+    }
+    void Close() override { inner_->Close(); }
+
+   private:
+    SyncLatchFs& fs_;
+    std::unique_ptr<io::WritableFile> inner_;
+  };
+
+  void Park() {
+    std::unique_lock<std::mutex> lk(mu_);
+    if (!shut_) return;
+    ++parked_;
+    cv_.notify_all();
+    cv_.wait(lk, [&] { return !shut_; });
+    --parked_;
+  }
+
+  io::FileSystem& inner_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool shut_ = false;
+  int parked_ = 0;
+};
+
+TEST_F(NetTest, IoThreadNeverWaitsOnTheWriterLock) {
+  io::FaultFs memory;
+  SyncLatchFs fs(memory);
+  NeatsStoreOptions store_options;
+  store_options.shard_size = 4096;
+  store_options.seal_threads = 1;  // seals inline: only the WAL syncs
+  store_options.fs = &fs;
+  store_options.log_sink = obs::NullLogSink();
+  store_ = std::make_unique<NeatsStore>(
+      NeatsStore::CreateDir("store", store_options));
+  std::vector<int64_t> values;
+  for (uint64_t i = 0; i < kInitial; ++i) values.push_back(Truth(i));
+  store_->Append(values);
+  Serve(*store_);  // the default worker pool
+
+  const int pinger = ConnectTo("127.0.0.1", server_->port());
+  const int reader = ConnectTo("127.0.0.1", server_->port());
+
+  // An Append of 64 values (no shard fills, so nothing seals) parks in its
+  // WAL fsync while holding the writer lock.
+  fs.Shut();
+  std::thread appender([&] {
+    std::vector<int64_t> more;
+    for (uint64_t k = 0; k < 64; ++k) more.push_back(Truth(kInitial + k));
+    store_->Append(more);
+  });
+  // Whatever fails below, the writer finishes before the test unwinds.
+  struct Release {
+    SyncLatchFs& fs;
+    std::thread& appender;
+    ~Release() {
+      fs.Open();
+      if (appender.joinable()) appender.join();
+    }
+  } release{fs, appender};
+  ASSERT_TRUE(fs.WaitForParkedSync()) << "the Append never reached its fsync";
+
+  // A point read meets the held lock. Once the IO thread has admitted it
+  // (and so tried to serve it), a ping on another connection must still
+  // answer: an IO thread waiting for the lock would serve nothing.
+  SendAll(reader, AccessFrame(/*id=*/1, /*index=*/123));
+  for (int wait = 0; wait < 5000; ++wait) {
+    const obs::MetricsSnapshot snap = server_->StatsSnapshot();
+    if (*snap.counter("req.access") >= 1) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::vector<uint8_t> ping;
+  AppendFrame(&ping, Opcode::kPing, 0, /*id=*/2, {});
+  SendAll(pinger, ping);
+  ASSERT_TRUE(Readable(pinger, 5000)) << "the ping waited for the writer";
+  FrameHeader h;
+  std::vector<uint8_t> payload;
+  ASSERT_TRUE(ReadFrame(pinger, &h, &payload));
+  EXPECT_EQ(h.id, 2u);
+  EXPECT_EQ(h.status, 0u);
+
+  // The read itself waits for the writer, on the pool.
+  EXPECT_FALSE(Readable(reader, 100)) << "read answered under the writer";
+  fs.Open();
+  appender.join();
+  ASSERT_TRUE(Readable(reader, 5000));
+  ASSERT_TRUE(ReadFrame(reader, &h, &payload));
+  EXPECT_EQ(h.id, 1u);
+  ASSERT_EQ(h.status, 0u);
+  PayloadReader r(payload);
+  EXPECT_EQ(r.I64(), Truth(123));
+  ::close(pinger);
+  ::close(reader);
+
+  const obs::MetricsSnapshot snap = server_->StatsSnapshot();
+  EXPECT_GE(*snap.counter("dispatch.pool"), 1u);
+  EXPECT_GE(*snap.counter("dispatch.inline"), 1u);  // the ping
 }
 
 TEST_F(NetTest, AdmissionGateShedsWithTypedOverload) {

@@ -181,6 +181,21 @@ TEST(NeatsStore, AccessBatchFuzzAllTiers) {
                                           << idx[j] << " trial " << trial;
         ASSERT_EQ(store.Access(idx[j]), values[idx[j]]);
       }
+      // TryAccessBatch answers the same probes and skips those at or past
+      // the size it reports, leaving their slots untouched.
+      std::vector<uint64_t> tried = idx;
+      tried.insert(tried.begin() + static_cast<ptrdiff_t>(count / 2),
+                   values.size());
+      tried.push_back(values.size() + 12345);
+      std::vector<int64_t> tried_out(tried.size(), -7);
+      uint64_t size_seen = 0;
+      ASSERT_TRUE(store.TryAccessBatch(tried, tried_out, &size_seen));
+      ASSERT_EQ(size_seen, values.size());
+      for (size_t j = 0; j < tried.size(); ++j) {
+        ASSERT_EQ(tried_out[j],
+                  tried[j] < values.size() ? values[tried[j]] : -7)
+            << "flush=" << flush << " slot " << j << " trial " << trial;
+      }
     }
   }
 }
