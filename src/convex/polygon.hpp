@@ -120,10 +120,21 @@ class FeasiblePolygon {
     return {a.m + s * (b.m - a.m), a.b + s * (b.b - a.b)};
   }
 
+  // Rounding can put a clip line past the polygon's far extreme even though
+  // the O(1) test found the constraint pair feasible (seen with values near
+  // 2^60, where the ClipLeft loop then emptied its chain). The feasible set
+  // is then, numerically, that one extreme vertex; a one-vertex polygon is
+  // stable, since no later constraint can need a clip.
+  void CollapseTo(DualPoint p) {
+    top_ = {p};
+    bottom_ = {p};
+  }
+
   // Applies b <= -t*m + omega, i.e. keeps g = t*m + b <= omega.
   // Precondition: g(leftmost) <= omega < g(rightmost).
   void ClipRight(long double t, long double omega) {
     auto g = [t](const DualPoint& p) { return t * p.m + p.b; };
+    if (g(top_.front()) > omega) return CollapseTo(top_.front());
     DualPoint popped_top = top_.back();
     top_.pop_back();
     while (g(top_.back()) > omega) {
@@ -149,6 +160,7 @@ class FeasiblePolygon {
   // Precondition: g(leftmost) < alpha <= g(rightmost).
   void ClipLeft(long double t, long double alpha) {
     auto g = [t](const DualPoint& p) { return t * p.m + p.b; };
+    if (g(top_.back()) < alpha) return CollapseTo(top_.back());
     DualPoint popped_top = top_.front();
     top_.pop_front();
     while (g(top_.front()) < alpha) {

@@ -246,10 +246,13 @@ class Neats {
   /// paper suggests as future work (Sec. VI). Each skipped correction lies
   /// in [-2^(B[i]-1), 2^(B[i]-1) - 1], so the result is off by at most
   /// len_i * 2^(B[i]-1) per covered fragment; the bound returned is exact.
+  /// The predictions run through the decode kernel's per-kind Σ⌊f⌋ loop and
+  /// are summed exactly in 128-bit integers, then rounded to double once.
   ApproximateAggregate ApproximateRangeSum(uint64_t from, uint64_t len) const {
     NEATS_DCHECK(from + len <= n_);
     ApproximateAggregate agg{0.0, 0.0};
     if (len == 0) return agg;
+    __int128 sum = 0;
     size_t i = FragmentIndexOf(from);
     uint64_t covered = 0;
     while (covered < len) {
@@ -260,11 +263,10 @@ class Neats {
       const FragmentDirectory::Record& rec = directory_[i];
       FunctionKind kind = kind_table_[rec.kind];
       const double* params = params_[rec.kind].data() + rec.param_index;
-      uint64_t origin = start - rec.displacement;
-      for (uint64_t k = lo; k < hi; ++k) {
-        agg.value += static_cast<double>(
-            PredictFloor(kind, params, static_cast<int64_t>(k - origin) + 1));
-      }
+      const double x = static_cast<double>(lo - (start - rec.displacement) + 1);
+      sum += DispatchKind(kind, [&]<FunctionKind K>() {
+        return SumPredictFloor<K, __int128>(params, x, hi - lo);
+      });
       int bits = rec.correction_bits;
       double max_corr = bits == 0 ? 0.0
                                   : static_cast<double>(uint64_t{1} << (bits - 1));
@@ -272,12 +274,14 @@ class Neats {
       covered += hi - lo;
       ++i;
     }
-    agg.value -= static_cast<double>(shift_) * static_cast<double>(len);
+    sum -= static_cast<__int128>(shift_) * static_cast<__int128>(len);
+    agg.value = static_cast<double>(sum);
     return agg;
   }
 
-  /// Exact sum over values[from, from+len), streamed through a cursor in
-  /// fixed-size chunks — no O(len) allocation.
+  /// Exact sum over values[from, from+len), wrapping modulo 2^64 (two's
+  /// complement). The decode kernel accumulates as it decodes: no value is
+  /// ever stored.
   int64_t RangeSum(uint64_t from, uint64_t len) const;
 
   /// Serializes the compressed representation to bytes in format v3: a
@@ -434,7 +438,10 @@ class Neats {
     NEATS_REQUIRE(kinds <= static_cast<size_t>(kNumFunctionKinds),
                   "corrupt NeaTS blob");
     for (size_t i = 0; i < kinds; ++i) {
-      out.kind_table_.push_back(static_cast<FunctionKind>(r.Get()));
+      const uint64_t kind = r.Get();
+      NEATS_REQUIRE(kind < static_cast<uint64_t>(kNumFunctionKinds),
+                    "corrupt NeaTS blob");
+      out.kind_table_.push_back(static_cast<FunctionKind>(kind));
     }
     if (out.m_ > 0) {
       if (out.starts_mode_ == StartsIndex::kEliasFano) {
@@ -701,69 +708,65 @@ class Neats {
     return pred + c - shift_;
   }
 
-  // Tight per-kind decode loop; KIND is a compile-time constant so the
-  // dispatch inside PredictFloor folds away. Corrections are unpacked in
-  // bulk (UnpackBitsRun) into a small stack buffer instead of paying an
-  // unaligned ReadBits per element.
-  template <FunctionKind KIND>
-  void DecodeLoop(const double* params, uint64_t origin, uint64_t from,
-                  uint64_t to, int bits, uint64_t bit_offset,
-                  int64_t* out) const {
+  // The per-kind decode kernel over `count` values of one fragment starting
+  // at fragment-local coordinate `x`. KIND is a compile-time constant, so
+  // PredictFloorAt's kind switch folds away and each value costs the kind's
+  // scalar double arithmetic (plus the libm call of the exp/log kinds), an
+  // integer floor and the bit-unpacked correction. Corrections are unpacked
+  // 128 at a time (UnpackBitsRun) into a stack buffer instead of paying an
+  // unaligned ReadBits per element. Without kSum the values go to `out`;
+  // with kSum nothing is stored and the kernel returns Σpred + Σcorr −
+  // count·base, the values' sum modulo 2^64.
+  template <FunctionKind KIND, bool kSum>
+  uint64_t DecodeLoop(const double* params, double x, uint64_t count, int bits,
+                      uint64_t bit_offset, int64_t* out) const {
+    const uint64_t base = (bits == 0 ? 0 : uint64_t{1} << (bits - 1)) +
+                          static_cast<uint64_t>(shift_);
+    uint64_t sum = 0;
     if (bits == 0) {  // pure function: no corrections stored at all
-      for (uint64_t k = from; k < to; ++k) {
-        out[k - from] =
-            PredictFloor(KIND, params, static_cast<int64_t>(k - origin) + 1) -
-            shift_;
+      if constexpr (kSum) {
+        sum = SumPredictFloor<KIND, uint64_t>(params, x, count);
+      } else {
+        for (uint64_t j = 0; j < count; ++j, x += 1.0) {
+          out[j] = PredictFloorAt(KIND, params, x) - shift_;
+        }
       }
-      return;
+      return sum - count * base;
     }
-    const int64_t base = (int64_t{1} << (bits - 1)) + shift_;
     const uint64_t* words = corrections_.data();
     constexpr uint64_t kRun = 128;
     uint64_t corr[kRun];
-    uint64_t k = from;
-    uint64_t o = bit_offset;
-    while (k < to) {
-      const uint64_t run = std::min<uint64_t>(kRun, to - k);
-      UnpackBitsRun(words, o, bits, run, corr);
-      for (uint64_t j = 0; j < run; ++j) {
-        int64_t pred =
-            PredictFloor(KIND, params, static_cast<int64_t>(k + j - origin) + 1);
-        out[k + j - from] = pred + static_cast<int64_t>(corr[j]) - base;
+    for (uint64_t done = 0; done < count;) {
+      const uint64_t run = std::min<uint64_t>(kRun, count - done);
+      UnpackBitsRun(words, bit_offset, bits, run, corr);
+      if constexpr (kSum) {
+        sum += SumPredictFloor<KIND, uint64_t>(params, x, run);
+        for (uint64_t j = 0; j < run; ++j) sum += corr[j];
+        x += static_cast<double>(run);
+      } else {
+        for (uint64_t j = 0; j < run; ++j, x += 1.0) {
+          const uint64_t pred =
+              static_cast<uint64_t>(PredictFloorAt(KIND, params, x));
+          out[done + j] = static_cast<int64_t>(pred + corr[j] - base);
+        }
       }
-      k += run;
-      o += run * static_cast<uint64_t>(bits);
+      done += run;
+      bit_offset += run * static_cast<uint64_t>(bits);
     }
+    return sum - count * base;
   }
 
-  /// Decodes values[from, to) of a loaded fragment (kind-dispatched loop).
-  void DecodeRun(const FragState& s, uint64_t from, uint64_t to,
-                 int64_t* out) const {
-    uint64_t o = s.corr_base + (from - s.start) * static_cast<uint64_t>(s.bits);
-    switch (s.kind) {
-      case FunctionKind::kLinear:
-        return DecodeLoop<FunctionKind::kLinear>(s.params, s.origin, from, to, s.bits, o, out);
-      case FunctionKind::kQuadratic:
-        return DecodeLoop<FunctionKind::kQuadratic>(s.params, s.origin, from, to, s.bits, o, out);
-      case FunctionKind::kRadical:
-        return DecodeLoop<FunctionKind::kRadical>(s.params, s.origin, from, to, s.bits, o, out);
-      case FunctionKind::kExponential:
-        return DecodeLoop<FunctionKind::kExponential>(s.params, s.origin, from, to, s.bits, o, out);
-      case FunctionKind::kPower:
-        return DecodeLoop<FunctionKind::kPower>(s.params, s.origin, from, to, s.bits, o, out);
-      case FunctionKind::kLogarithm:
-        return DecodeLoop<FunctionKind::kLogarithm>(s.params, s.origin, from, to, s.bits, o, out);
-      case FunctionKind::kQuadMixed:
-        return DecodeLoop<FunctionKind::kQuadMixed>(s.params, s.origin, from, to, s.bits, o, out);
-      case FunctionKind::kCubicOdd:
-        return DecodeLoop<FunctionKind::kCubicOdd>(s.params, s.origin, from, to, s.bits, o, out);
-      case FunctionKind::kCubicMixed:
-        return DecodeLoop<FunctionKind::kCubicMixed>(s.params, s.origin, from, to, s.bits, o, out);
-      case FunctionKind::kQuadraticFull:
-        return DecodeLoop<FunctionKind::kQuadraticFull>(s.params, s.origin, from, to, s.bits, o, out);
-      case FunctionKind::kGaussian:
-        return DecodeLoop<FunctionKind::kGaussian>(s.params, s.origin, from, to, s.bits, o, out);
-    }
+  /// Decodes values[from, to) of a loaded fragment into `out`, or with kSum
+  /// returns their sum modulo 2^64 (kind-dispatched kernel).
+  template <bool kSum>
+  uint64_t DecodeRun(const FragState& s, uint64_t from, uint64_t to,
+                     int64_t* out) const {
+    const uint64_t o =
+        s.corr_base + (from - s.start) * static_cast<uint64_t>(s.bits);
+    const double x = static_cast<double>(from - s.origin + 1);
+    return DispatchKind(s.kind, [&]<FunctionKind K>() {
+      return DecodeLoop<K, kSum>(s.params, x, to - from, s.bits, o, out);
+    });
   }
 
   /// Bits of the serialized header: magic, version, n, m, shift, starts
@@ -897,23 +900,40 @@ class Neats::Cursor {
   }
 
   /// Bulk-decodes up to `len` values starting at the current position into
-  /// `out` (fragment-at-a-time, vectorised inner loops) and advances past
-  /// them. Returns the number produced (less than `len` only at the end).
+  /// `out` (fragment-at-a-time, through the per-kind decode kernel) and
+  /// advances past them. Returns the number produced (less than `len` only
+  /// at the end).
   uint64_t Read(uint64_t len, int64_t* out) {
-    uint64_t want = std::min(len, neats_->n_ - pos_);
-    uint64_t produced = 0;
-    while (produced < want) {
-      uint64_t to = std::min(pos_ + (want - produced), st_.end);
-      neats_->DecodeRun(st_, pos_, to, out + produced);
-      produced += to - pos_;
-      pos_ = to;
-      if (pos_ == st_.end && pos_ < neats_->n_) AdvanceFragment();
-    }
+    const uint64_t want = std::min(len, neats_->n_ - pos_);
+    Scan<false>(want, out);
     return want;
+  }
+
+  /// Advances past up to `len` values and returns their sum modulo 2^64 —
+  /// the same kernel as Read, accumulating instead of storing.
+  int64_t Sum(uint64_t len) {
+    return static_cast<int64_t>(Scan<true>(len, nullptr));
   }
 
  private:
   static constexpr int kMaxSeekHops = 8;
+
+  // Read/Sum body: up to `len` values from the current position, fragment
+  // by fragment; with kSum returns their sum modulo 2^64.
+  template <bool kSum>
+  uint64_t Scan(uint64_t len, int64_t* out) {
+    const uint64_t want = std::min(len, neats_->n_ - pos_);
+    uint64_t sum = 0;
+    for (uint64_t produced = 0; produced < want;) {
+      const uint64_t to = std::min(pos_ + (want - produced), st_.end);
+      sum += neats_->DecodeRun<kSum>(st_, pos_, to,
+                                     kSum ? nullptr : out + produced);
+      produced += to - pos_;
+      pos_ = to;
+      if (pos_ == st_.end && pos_ < neats_->n_) AdvanceFragment();
+    }
+    return sum;
+  }
 
   void AdvanceFragment() {
     ++frag_;
@@ -955,17 +975,9 @@ inline void Neats::DecompressRanges(std::span<const IndexRange> ranges,
 
 inline int64_t Neats::RangeSum(uint64_t from, uint64_t len) const {
   NEATS_DCHECK(from + len <= n_);
-  constexpr uint64_t kChunk = 1024;
-  int64_t buffer[kChunk];
+  if (len == 0) return 0;
   Cursor cursor(*this, from);
-  int64_t sum = 0;
-  uint64_t remaining = len;
-  while (remaining > 0) {
-    uint64_t got = cursor.Read(std::min(remaining, kChunk), buffer);
-    for (uint64_t j = 0; j < got; ++j) sum += buffer[j];
-    remaining -= got;
-  }
-  return sum;
+  return cursor.Sum(len);
 }
 
 inline Neats Neats::CompressWithModelSelection(std::span<const int64_t> values,

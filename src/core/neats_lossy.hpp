@@ -105,26 +105,11 @@ class NeatsLossy {
       const FragmentDirectory::Record& rec = directory_[i];
       FunctionKind kind = kind_table_[rec.kind];
       const double* params = params_[rec.kind].data() + rec.param_index;
-      uint64_t origin = start - rec.displacement;
       int64_t* dst = out->data() + start;
-      switch (kind) {
-#define NEATS_LOSSY_CASE(K)                                          \
-  case FunctionKind::K:                                              \
-    PredictLoop<FunctionKind::K>(params, origin, start, end, dst);   \
-    break;
-        NEATS_LOSSY_CASE(kLinear)
-        NEATS_LOSSY_CASE(kQuadratic)
-        NEATS_LOSSY_CASE(kRadical)
-        NEATS_LOSSY_CASE(kExponential)
-        NEATS_LOSSY_CASE(kPower)
-        NEATS_LOSSY_CASE(kLogarithm)
-        NEATS_LOSSY_CASE(kQuadMixed)
-        NEATS_LOSSY_CASE(kCubicOdd)
-        NEATS_LOSSY_CASE(kCubicMixed)
-        NEATS_LOSSY_CASE(kQuadraticFull)
-        NEATS_LOSSY_CASE(kGaussian)
-#undef NEATS_LOSSY_CASE
-      }
+      const double x = static_cast<double>(rec.displacement + 1);
+      DispatchKind(kind, [&]<FunctionKind K>() {
+        PredictLoop<K>(params, x, end - start, dst);
+      });
     }
   }
 
@@ -190,7 +175,10 @@ class NeatsLossy {
     NEATS_REQUIRE(kinds <= static_cast<size_t>(kNumFunctionKinds),
                   "corrupt NeaTS-L blob");
     for (size_t i = 0; i < kinds; ++i) {
-      out.kind_table_.push_back(static_cast<FunctionKind>(r.Get()));
+      const uint64_t kind = r.Get();
+      NEATS_REQUIRE(kind < static_cast<uint64_t>(kNumFunctionKinds),
+                    "corrupt NeaTS-L blob");
+      out.kind_table_.push_back(static_cast<FunctionKind>(kind));
     }
     if (out.m_ > 0) {
       out.starts_ = EliasFano::Load(r);
@@ -234,15 +222,14 @@ class NeatsLossy {
     }
     return records;
   }
-  // Tight per-kind loop; KIND is compile-time so the dispatch inside
-  // PredictFloor folds away and polynomial kinds vectorise.
+  // Per-kind prediction loop over `count` values from coordinate `x`: KIND
+  // is compile-time, so PredictFloorAt's kind switch folds away and each
+  // value costs the kind's scalar double arithmetic and an integer floor.
   template <FunctionKind KIND>
-  void PredictLoop(const double* params, uint64_t origin, uint64_t from,
-                   uint64_t to, int64_t* dst) const {
-    for (uint64_t k = from; k < to; ++k) {
-      dst[k - from] =
-          PredictFloor(KIND, params, static_cast<int64_t>(k - origin) + 1) -
-          shift_;
+  void PredictLoop(const double* params, double x, uint64_t count,
+                   int64_t* dst) const {
+    for (uint64_t j = 0; j < count; ++j, x += 1.0) {
+      dst[j] = PredictFloorAt(KIND, params, x) - shift_;
     }
   }
 

@@ -37,6 +37,8 @@ namespace neats {
 ///  - Compress/Deserialize/View produce an object answering queries over the
 ///    original values exactly (codecs built on a lossy core must carry
 ///    corrections that restore exactness — see NeatsLossyExact).
+///  - RangeSum returns the exact sum modulo 2^64 (two's complement): a sum
+///    past the int64 range wraps instead of overflowing.
 ///  - AccessBatch requires non-decreasing probe indices (callers with
 ///    unsorted probes sort first, as NeatsStore::AccessBatch does).
 ///  - Serialize output fed back through Deserialize and re-serialized must
@@ -112,19 +114,22 @@ class ScalarCodecBase {
     }
   }
 
-  /// Exact sum over values[from, from + len), streamed in fixed chunks.
+  /// Exact sum over values[from, from + len), wrapping modulo 2^64 (two's
+  /// complement), streamed in fixed chunks.
   int64_t RangeSum(uint64_t from, uint64_t len) const {
     constexpr uint64_t kChunk = 1024;
     int64_t buffer[kChunk];
-    int64_t sum = 0;
+    uint64_t sum = 0;
     while (len > 0) {
       const uint64_t take = std::min(len, kChunk);
       self().DecompressRange(from, take, buffer);
-      for (uint64_t j = 0; j < take; ++j) sum += buffer[j];
+      for (uint64_t j = 0; j < take; ++j) {
+        sum += static_cast<uint64_t>(buffer[j]);
+      }
       from += take;
       len -= take;
     }
-    return sum;
+    return static_cast<int64_t>(sum);
   }
 
  private:

@@ -174,13 +174,15 @@ inline bool KindApplicableAtStart(FunctionKind kind, int64_t y_first,
 }
 
 /// Evaluates the approximation of `kind` with stored parameters `params`
-/// (as produced by the approximator) at fragment-local coordinate `xi`.
-/// Deterministic double-precision arithmetic: the compressor and the
-/// decompressor call this exact routine, so residuals computed at encode
-/// time reproduce bit-exactly at decode time.
-inline double PredictValue(FunctionKind kind, const double* params,
-                           int64_t xi) {
-  const double x = static_cast<double>(xi);
+/// (as produced by the approximator) at fragment-local coordinate `x`, an
+/// integer >= 1 held exactly in a double (so below 2^53). Deterministic
+/// double-precision arithmetic: the compressor and the decompressor call this
+/// exact routine, so residuals computed at encode time reproduce bit-exactly
+/// at decode time — provided every multiply and add rounds on its own (the
+/// library builds with -ffp-contract=off, so no fused multiply-add) and the
+/// nonlinear kinds see the same libm exp/log on both sides.
+inline double PredictValueAt(FunctionKind kind, const double* params,
+                             double x) {
   const double m = params[0];
   const double b = params[1];
   switch (kind) {
@@ -199,20 +201,73 @@ inline double PredictValue(FunctionKind kind, const double* params,
   return 0.0;
 }
 
+/// PredictValueAt at the integer coordinate `xi` (>= 1).
+inline double PredictValue(FunctionKind kind, const double* params,
+                           int64_t xi) {
+  return PredictValueAt(kind, params, static_cast<double>(xi));
+}
+
 /// Largest magnitude the compressor accepts for input values; predictions are
 /// clamped to this band so residuals never overflow int64.
 inline constexpr int64_t kMaxAbsValue = int64_t{1} << 61;
 
 /// Floor of the prediction, clamped to the valid band (NaN maps to 0).
 /// This is the ⌊f(x)⌋ of the paper, shared by Algorithms 2 and 3.
-/// Written branchlessly so the per-fragment decode loops vectorise.
-inline int64_t PredictFloor(FunctionKind kind, const double* params,
-                            int64_t xi) {
-  double v = PredictValue(kind, params, xi);
+/// The floor is integer arithmetic, not a libm call: on the clamped band
+/// truncation to int64 is in range, and converting the truncated value back
+/// to double is exact (below 2^52 it fits the mantissa, and from 2^52 up v
+/// already is an integer), so stepping down by one where truncation rounded
+/// up gives exactly std::floor(v).
+inline int64_t PredictFloorAt(FunctionKind kind, const double* params,
+                              double x) {
+  double v = PredictValueAt(kind, params, x);
   v = std::isnan(v) ? 0.0 : v;
   v = std::min(v, static_cast<double>(kMaxAbsValue));
   v = std::max(v, -static_cast<double>(kMaxAbsValue));
-  return static_cast<int64_t>(std::floor(v));
+  const int64_t t = static_cast<int64_t>(v);
+  return t - static_cast<int64_t>(static_cast<double>(t) > v);
+}
+
+/// PredictFloorAt at the integer coordinate `xi` (>= 1).
+inline int64_t PredictFloor(FunctionKind kind, const double* params,
+                            int64_t xi) {
+  return PredictFloorAt(kind, params, static_cast<double>(xi));
+}
+
+/// Calls `fn.template operator()<K>()` with K == kind, so a per-kind loop
+/// written as a template lambda is instantiated once per kind and the kind
+/// switch inside PredictValueAt folds away in each instantiation.
+template <class Fn>
+decltype(auto) DispatchKind(FunctionKind kind, Fn&& fn) {
+  switch (kind) {
+    case FunctionKind::kLinear: break;
+    case FunctionKind::kQuadratic: return fn.template operator()<FunctionKind::kQuadratic>();
+    case FunctionKind::kRadical: return fn.template operator()<FunctionKind::kRadical>();
+    case FunctionKind::kExponential: return fn.template operator()<FunctionKind::kExponential>();
+    case FunctionKind::kPower: return fn.template operator()<FunctionKind::kPower>();
+    case FunctionKind::kLogarithm: return fn.template operator()<FunctionKind::kLogarithm>();
+    case FunctionKind::kQuadMixed: return fn.template operator()<FunctionKind::kQuadMixed>();
+    case FunctionKind::kCubicOdd: return fn.template operator()<FunctionKind::kCubicOdd>();
+    case FunctionKind::kCubicMixed: return fn.template operator()<FunctionKind::kCubicMixed>();
+    case FunctionKind::kQuadraticFull: return fn.template operator()<FunctionKind::kQuadraticFull>();
+    case FunctionKind::kGaussian: return fn.template operator()<FunctionKind::kGaussian>();
+  }
+  // kLinear; also any id outside the enum (the loaders reject those), since
+  // the linear kind reads only the two parameters every fragment stores.
+  return fn.template operator()<FunctionKind::kLinear>();
+}
+
+/// Σ ⌊f(x)⌋ over the `count` coordinates x, x + 1, ... in the accumulator
+/// type Acc (uint64_t wraps modulo 2^64; a wider type sums exactly). The
+/// coordinate runs as a double stepped by 1.0, which is exact below 2^53 and
+/// saves an int64 -> double conversion per value.
+template <FunctionKind KIND, class Acc>
+Acc SumPredictFloor(const double* params, double x, uint64_t count) {
+  Acc sum = 0;
+  for (uint64_t j = 0; j < count; ++j, x += 1.0) {
+    sum += static_cast<Acc>(PredictFloorAt(KIND, params, x));
+  }
+  return sum;
 }
 
 }  // namespace neats

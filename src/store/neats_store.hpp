@@ -1013,7 +1013,8 @@ class NeatsStore {
   }
 
  public:
-  /// Exact sum over values[from, from + len), combined across shards.
+  /// Exact sum over values[from, from + len), combined across shards and
+  /// wrapping modulo 2^64 (two's complement).
   int64_t RangeSum(uint64_t from, uint64_t len) const {
     std::shared_lock<std::shared_mutex> lock(*mu_);
     store_internal::StoreObs* ob = obs_.get();
@@ -1038,9 +1039,9 @@ class NeatsStore {
  private:
   /// RangeSum body under the reader lock. A sum spanning several sealed
   /// shards fans out one partial sum per shard on the seal pool (same
-  /// threshold policy as ExecuteShardGroups); int64 addition is
-  /// associative, so per-shard partials accumulated in segment order give
-  /// the exact sequential answer.
+  /// threshold policy as ExecuteShardGroups). Every add wraps modulo 2^64
+  /// in uint64_t, which is associative, so per-shard partials give exactly
+  /// the sequential answer.
   int64_t RangeSumLocked(uint64_t from, uint64_t len) const {
     NEATS_DCHECK(from + len <= SizeImpl());
     struct Segment {
@@ -1049,7 +1050,7 @@ class NeatsStore {
       uint64_t take;
     };
     std::vector<Segment> segments;
-    int64_t sum = 0;
+    uint64_t sum = 0;
     uint64_t sealed_values = 0;
     while (len > 0) {
       if (from < sealed_total_) {
@@ -1061,7 +1062,9 @@ class NeatsStore {
         len -= take;
         continue;
       }
-      for (uint64_t k = from; k < from + len; ++k) sum += AccessUnsealed(k);
+      for (uint64_t k = from; k < from + len; ++k) {
+        sum += static_cast<uint64_t>(AccessUnsealed(k));
+      }
       break;
     }
     const uint64_t threshold = options_.parallel_query_values;
@@ -1069,26 +1072,26 @@ class NeatsStore {
         sealed_values < threshold || pool_ == nullptr ||
         pool_->num_threads() < 2) {
       for (const Segment& g : segments) {
-        sum += g.shard->series->RangeSum(g.local_from, g.take);
+        sum += static_cast<uint64_t>(
+            g.shard->series->RangeSum(g.local_from, g.take));
       }
-      return sum;
+      return static_cast<int64_t>(sum);
     }
-    std::vector<int64_t> partial(segments.size(), 0);
+    std::vector<uint64_t> partial(segments.size(), 0);
     std::mutex err_mu;
     std::exception_ptr err;
     pool_->ParallelFor(segments.size(), [&](size_t i) {
       try {
-        partial[i] =
-            segments[i].shard->series->RangeSum(segments[i].local_from,
-                                                segments[i].take);
+        partial[i] = static_cast<uint64_t>(segments[i].shard->series->RangeSum(
+            segments[i].local_from, segments[i].take));
       } catch (...) {
         std::lock_guard<std::mutex> lock(err_mu);
         if (!err) err = std::current_exception();
       }
     });
     if (err) std::rethrow_exception(err);
-    for (int64_t p : partial) sum += p;
-    return sum;
+    for (uint64_t p : partial) sum += p;
+    return static_cast<int64_t>(sum);
   }
 
  public:

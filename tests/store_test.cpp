@@ -338,6 +338,44 @@ TEST(NeatsStore, ParallelQueryFanOutMatchesSequential) {
   }
 }
 
+// Values near 2^60 are inside the ±2^61 the compressor accepts, but a few of
+// them already sum past the int64 range: RangeSum must wrap modulo 2^64 at
+// every add — unsealed tail, per shard and across fan-out partials — and
+// match the wrapping prefix sum, without signed overflow (the sanitizer CI
+// job runs this suite under UBSan).
+TEST(NeatsStore, RangeSumWrapsModulo2To64AcrossShardsAndTail) {
+  std::mt19937_64 rng(41);
+  std::vector<int64_t> values(12345);  // two sealed shards + unsealed tail
+  for (size_t i = 0; i < values.size(); ++i) {
+    values[i] = (int64_t{1} << 60) + static_cast<int64_t>(i) * 977 +
+                static_cast<int64_t>(rng() % 512);
+  }
+  std::vector<uint64_t> prefix(values.size() + 1, 0);
+  for (size_t i = 0; i < values.size(); ++i) {
+    prefix[i + 1] = prefix[i] + static_cast<uint64_t>(values[i]);
+  }
+  for (uint64_t threshold : {uint64_t{0}, uint64_t{1}}) {
+    NeatsStoreOptions options;
+    options.shard_size = 5000;
+    options.seal_threads = 2;
+    options.parallel_query_values = threshold;
+    NeatsStore store(options);
+    for (size_t at = 0; at < values.size(); at += 1000) {
+      const size_t n = std::min<size_t>(1000, values.size() - at);
+      store.Append({values.data() + at, n});
+    }
+    const std::vector<IndexRange> spans = {
+        {0, values.size()}, {4990, 20}, {0, 10000},
+        {4000, 8345},       {9999, 2},  {10000, 2345}};
+    for (const IndexRange& s : spans) {
+      ASSERT_EQ(store.RangeSum(s.from, s.len),
+                static_cast<int64_t>(prefix[s.from + s.len] - prefix[s.from]))
+          << "threshold=" << threshold << " span [" << s.from << ", +"
+          << s.len << ")";
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Durability: append -> seal -> reopen.
 // ---------------------------------------------------------------------------
